@@ -152,8 +152,11 @@ def p_los_vs_elevation(
 
     Each angle maps to the horizontal distance delta_h / tan(theta) at
     which the probability is evaluated; theta -> pi/2 collapses the
-    distance to zero, where the probability is 1 by definition.
+    distance to zero, where the probability is 1 by definition. The angles
+    need the TX above the RX.
     """
+    if not h_tx > h_rx:
+        raise ValueError(f"an elevation sweep needs h_tx > h_rx, got {h_tx} and {h_rx}")
     out: list[float] = []
     dh = h_tx - h_rx
     for theta in angles:

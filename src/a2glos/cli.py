@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import IO, Callable
 
 import numpy as np
 
@@ -40,9 +41,19 @@ from .fit import (
     train,
 )
 from .geometry import FresnelSpec, LinkGeometry, wavelength_from_frequency
-from .rt_sim import dump_scene_csv, estimate_p_los, synthesize_scene
+from .rt_sim import (
+    default_extent,
+    dump_scene_csv,
+    estimate_p_los,
+    realization_scene,
+    synthesize_scene,
+)
 
 _KNOWN_MODELS = ("analytic", "approx-retrained", "approx-3gpp", "approx-5gcm")
+
+#: Files a command writes besides its CSV: (path, writer) pairs, written
+#: only after the CSV is.
+Files = list[tuple[Path, Callable[[IO[str]], None]]]
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -86,22 +97,30 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _emit(args, lines: list[str]) -> None:
-    """Write all lines at once: full buffering means no partial output."""
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-        return
-    out = Path(args.out)
-    fd, tmp = tempfile.mkstemp(dir=out.parent or Path("."), suffix=".tmp")
+def _write_atomic(path: str | Path, write: Callable[[IO[str]], None]) -> None:
+    """Let ``write`` fill a temporary sibling of ``path``, then rename it
+    over ``path``: a failed write leaves no partial file behind."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
+            write(fh)
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _emit(args, lines: list[str], files: Files) -> None:
+    """Write the CSV all at once, then the command's other files."""
+    text = "\n".join(lines) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        _write_atomic(args.out, lambda fh: fh.write(text))
+    for path, write in files:
+        _write_atomic(path, write)
 
 
 def _header(command: str, pairs: dict[str, object]) -> list[str]:
@@ -109,7 +128,7 @@ def _header(command: str, pairs: dict[str, object]) -> list[str]:
     return [f"# a2glos v{__version__} {command}", f"# {echo}"]
 
 
-def cmd_analytic(args) -> list[str]:
+def cmd_analytic(args) -> tuple[list[str], Files]:
     env, scen = _resolve_env(args)
     spec, freq = _resolve_spec(args)
     pairs = {
@@ -145,10 +164,10 @@ def cmd_analytic(args) -> list[str]:
         mcd = max_comm_distance(args.htx, args.hrx, env, spec, args.mcd, width=args.width)
         value = "none" if mcd is None else _fmt(mcd)
         lines.append(f"# mcd threshold={_fmt(args.mcd)} distance_m={value}")
-    return lines
+    return lines, []
 
 
-def cmd_fit(args) -> list[str]:
+def cmd_fit(args) -> tuple[list[str], Files]:
     env, scen = _resolve_env(args)
     spec, freq = _resolve_spec(args)
     cfg = TrainConfig(
@@ -169,9 +188,6 @@ def cmd_fit(args) -> list[str]:
         )
     train_ds, val_ds = split_dataset(ds, cfg.split_seed)
     models = {t: train(ds, t, cfg) for t in ("d1", "d2")}
-    prefix = Path(args.out_prefix)
-    for tag, model in models.items():
-        save_mlp(model, prefix.parent / f"{prefix.name}.{tag}.txt")
     mse, max_err = approx_vs_analytic_error(
         models["d1"], models["d2"], env, spec,
         h_rx=args.hrx, delta_h_grid=delta_h_grid, d_grid=d_grid,
@@ -208,7 +224,12 @@ def cmd_fit(args) -> list[str]:
         lines.append(f"# rejected delta_h={_fmt(dh)}: {reason}")
     lines.append("delta_h,d1,d2")
     lines += [f"{_fmt(r.delta_h)},{_fmt(r.d1)},{_fmt(r.d2)}" for r in ds.records]
-    return lines
+    prefix = Path(args.out_prefix)
+    files = [
+        (prefix.parent / f"{prefix.name}.{tag}.txt", lambda fh, m=model: save_mlp(m, fh))
+        for tag, model in models.items()
+    ]
+    return lines, files
 
 
 def _run_simulation(args, env, spec):
@@ -237,7 +258,7 @@ def _run_simulation(args, env, spec):
     return labels, label_name, d_grid, est
 
 
-def cmd_simulate(args) -> list[str]:
+def cmd_simulate(args) -> tuple[list[str], Files]:
     env, scen = _resolve_env(args)
     spec, freq = _resolve_spec(args)
     labels, label_name, d_grid, est = _run_simulation(args, env, spec)
@@ -258,19 +279,16 @@ def cmd_simulate(args) -> list[str]:
     lines.append(f"{label_name},p_sim,ci_halfwidth")
     for lab, p, ci in zip(labels, est.p_los, est.ci_halfwidth):
         lines.append(f"{_fmt(lab)},{_fmt(p)},{_fmt(ci)}")
+    files: Files = []
     if args.dump_scene:
-        scene = synthesize_scene(
-            env,
-            args.extent if args.extent else 2.0 * max(d_grid) + 100.0,
-            seed=args.seed,
-            layout=args.layout,
+        scene = realization_scene(
+            env, args.extent or default_extent(d_grid), args.seed, 0, layout=args.layout
         )
-        with open(args.dump_scene, "w") as fh:
-            dump_scene_csv(scene, fh)
-    return lines
+        files.append((Path(args.dump_scene), lambda fh: dump_scene_csv(scene, fh)))
+    return lines, files
 
 
-def cmd_compare(args) -> list[str]:
+def cmd_compare(args) -> tuple[list[str], Files]:
     env, scen = _resolve_env(args)
     spec, freq = _resolve_spec(args)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
@@ -339,10 +357,10 @@ def cmd_compare(args) -> list[str]:
         above = [d for d, p in zip(d_grid, col) if p >= 0.999]
         bp = "none" if not above else _fmt(max(above))
         lines.append(f"# summary {m}: mad_vs_sim={_fmt(mad)} breakpoint_m={bp}")
-    return lines
+    return lines, []
 
 
-def cmd_scene(args) -> list[str]:
+def cmd_scene(args) -> tuple[list[str], Files]:
     env, scen = _resolve_env(args)
     scene = synthesize_scene(env, args.extent, seed=args.seed, layout=args.layout)
     lines = _header(
@@ -362,7 +380,7 @@ def cmd_scene(args) -> list[str]:
     lines.append("center_x,center_y,width,height")
     for b in scene.buildings:
         lines.append(f"{_fmt(b.center_x)},{_fmt(b.center_y)},{_fmt(b.width)},{_fmt(b.height)}")
-    return lines
+    return lines, []
 
 
 def _add_env_args(p: argparse.ArgumentParser) -> None:
@@ -426,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extent", type=float, help="scene side [m] (default 2*max(d)+100)")
     p.add_argument("--layout", choices=("grid", "uniform"), default="grid")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--dump-scene", help="also write the seed's scene CSV here")
+    p.add_argument("--dump-scene", help="also write the scene of realization 0 as CSV here")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_simulate)
 
@@ -467,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        lines = args.func(args)
+        lines, files = args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -475,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        _emit(args, lines)
+        _emit(args, lines, files)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,8 +10,10 @@ blockage.
 
 Blockage tests are exact: Moller-Trumbore for ray/triangle hits, and for
 the clearance test an affine map takes the ellipsoid to the unit sphere
-where triangle/sphere overlap reduces to a point-triangle distance. A
-per-building bounding-circle pre-check is the only acceleration.
+where triangle/sphere overlap reduces to a point-triangle distance. The
+per-link predicates cull buildings by a bounding-circle check only; they
+are the reference for the Monte-Carlo estimator, which culls harder and
+tests many links per array batch (see `estimate_p_los`).
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .geometry import FresnelSpec, fresnel_axes
 from .workers import worker_count
 
 _DET_EPS = 1e-12  # ray parallel to triangle plane below this determinant
+_CULL_MARGIN = 0.5  # [m] slack of the building culls around the clearance zone
+_SEGMENT_CLEARANCE = 1e-9  # [m] bounding-circle slack of the segment test
+_BATCH_PAIRS = 256  # (link, building) pairs per batched exact test
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -296,7 +301,7 @@ def los_blocked_geometric(scene: Scene, tx: Sequence[float], rx: Sequence[float]
     length = float(np.linalg.norm(p1 - p0))
     if length == 0.0:
         raise ValueError("tx and rx coincide")
-    tris = _candidate_triangles(scene, p0, p1, clearance=1e-9)
+    tris = _candidate_triangles(scene, p0, p1, clearance=_SEGMENT_CLEARANCE)
     if len(tris) == 0:
         return False
     direction = (p1 - p0) / length
@@ -305,9 +310,11 @@ def los_blocked_geometric(scene: Scene, tx: Sequence[float], rx: Sequence[float]
 
 
 def _orthonormal_frame(axis_unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    helper = np.array([0.0, 0.0, 1.0]) if abs(axis_unit[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    """Two unit vectors completing each unit vector of shape (..., 3) to a frame."""
+    steep = np.abs(axis_unit[..., 2:]) >= 0.9
+    helper = np.where(steep, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
     v = np.cross(axis_unit, helper)
-    v /= np.linalg.norm(v)
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
     return v, np.cross(axis_unit, v)
 
 
@@ -387,7 +394,7 @@ def los_blocked_fresnel(
     axes = fresnel_axes(spec, separation)
     if axes.x_semi == 0.0:
         return los_blocked_geometric(scene, tx, rx)
-    tris = _candidate_triangles(scene, p0, p1, clearance=axes.x_semi + 0.5)
+    tris = _candidate_triangles(scene, p0, p1, clearance=axes.x_semi + _CULL_MARGIN)
     if len(tris) == 0:
         return False
     center = 0.5 * (p0 + p1)
@@ -415,6 +422,177 @@ class PLosEstimate:
     n_links: np.ndarray  # valid links per distance
 
 
+@dataclass(frozen=True)
+class _LinkFan:
+    """Links from a TX over the scene centre to receivers on concentric rings.
+
+    Per-link arrays have shape (azimuths, rings, ...). The receivers of one
+    azimuth all lie on one ray from the origin, so their links share one
+    ground corridor.
+    """
+
+    tx: np.ndarray  # (3,)
+    rx: np.ndarray  # (K, R, 3)
+    unit: np.ndarray  # (K, 2) horizontal direction of each azimuth
+    ground: np.ndarray  # (K, R) horizontal TX-RX distance
+    length: np.ndarray  # (K, R) TX-RX separation
+    semi_axes: np.ndarray  # (K, R, 3) clearance-ellipsoid semi-axes (x, y, z)
+    frame: np.ndarray  # (K, R, 3, 3) rows: transverse, axial, transverse
+    clearance: np.ndarray  # (K, R) bounding-circle slack, as the per-link test
+    corridor: np.ndarray  # (K,) bounding-circle slack of the whole corridor
+    drop: np.ndarray  # (K, R) depth of the bounding cylinder's underside below the axis
+    geometric: bool  # zero wavelength: segment blockage instead of clearance
+
+
+def _link_fan(
+    spec: FresnelSpec, h_tx: float, h_rx: float, distances: Sequence[float], links_per_ring: int
+) -> _LinkFan:
+    angles = 2.0 * math.pi * np.arange(links_per_ring) / links_per_ring
+    unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    xy = unit[:, None, :] * np.asarray(distances, dtype=float)[None, :, None]
+    rx = np.concatenate([xy, np.full(xy.shape[:2] + (1,), float(h_rx))], axis=2)
+    tx = np.array([0.0, 0.0, h_tx])
+    delta = rx - tx
+    length = np.linalg.norm(delta, axis=2)
+    axes = [fresnel_axes(spec, float(sep)) for sep in length.ravel()]
+    semi_axes = np.array([(a.x_semi, a.y_semi, a.z_semi) for a in axes])
+    semi_axes = semi_axes.reshape(length.shape + (3,))
+    x_semi = semi_axes[..., 0]
+    geometric = spec.wavelength == 0.0
+    clearance = (
+        np.full_like(length, _SEGMENT_CLEARANCE) if geometric else x_semi + _CULL_MARGIN
+    )
+    axis_unit = delta / length[..., None]
+    v, w = _orthonormal_frame(axis_unit)
+    ground = np.hypot(xy[..., 0], xy[..., 1])
+    return _LinkFan(
+        tx=tx,
+        rx=rx,
+        unit=unit,
+        ground=ground,
+        length=length,
+        semi_axes=semi_axes,
+        frame=np.stack([v, axis_unit, w], axis=2),
+        clearance=clearance,
+        corridor=x_semi.max(axis=1) + _CULL_MARGIN,
+        drop=clearance * length / ground,
+        geometric=geometric,
+    )
+
+
+def _azimuth_candidates(
+    scene: Scene, fan: _LinkFan, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Valid receivers at azimuth ``k`` and the (ring, building) pairs that
+    survive the culls, which only drop buildings that cannot touch a link's
+    clearance zone:
+
+    1. corridor: buildings whose bounding circle comes within the largest
+       clearance of the rectangle around the longest ring's ground track;
+       receivers inside a footprint can only be inside one of these;
+    2. per link, the bounding-circle check of ``_candidate_triangles``;
+    3. per link, roofs below the underside of a cylinder of radius
+       ``clearance`` about the link axis, which holds the clearance zone,
+       over the building's span along the ground track. On a vertical line
+       the underside lies ``drop`` = clearance / cos(elevation) below the
+       axis, and the axis height is linear along the track, so the lowest
+       point over the span is at one of its ends.
+    """
+    rx = fan.rx[k]
+    none = np.zeros(0, dtype=np.intp)
+    radius = scene._widths * (math.sqrt(2.0) / 2.0)
+    ux, uy = fan.unit[k]
+    along = scene._centers @ fan.unit[k]
+    reach = radius + fan.corridor[k]
+    near = np.nonzero(
+        (np.abs(scene._centers @ np.array([-uy, ux])) <= reach)
+        & (along >= -reach)
+        & (along <= fan.ground[k].max() + reach)
+    )[0]
+    along = along[near]
+    centers = scene._centers[near]
+    radius = radius[near]
+    half_w = scene._widths[near] / 2.0
+    valid = ~(
+        (np.abs(rx[:, 0][:, None] - centers[:, 0]) <= half_w)
+        & (np.abs(rx[:, 1][:, None] - centers[:, 1]) <= half_w)
+    ).any(axis=1)
+    links = np.nonzero(valid)[0]
+    if near.size == 0 or links.size == 0:
+        return valid, none, none
+
+    seg = rx[links, :2]  # (L, 2) ground tracks from the origin
+    t = np.clip((seg @ centers.T) / np.sum(seg * seg, axis=1)[:, None], 0.0, 1.0)
+    gap = np.hypot(
+        centers[:, 0] - t * seg[:, 0][:, None], centers[:, 1] - t * seg[:, 1][:, None]
+    )
+    keep = gap <= radius + fan.clearance[k, links][:, None]
+
+    slope = (fan.tx[2] - rx[links, 2])[:, None] / fan.ground[k, links][:, None]
+    dip = np.maximum((along - radius) * slope, (along + radius) * slope)
+    floor = fan.tx[2] - dip - fan.drop[k, links][:, None]
+    keep &= scene._heights[near] >= floor
+
+    pair_link, pair_building = np.nonzero(keep)
+    return valid, links[pair_link], near[pair_building]
+
+
+def _pairs_blocked(
+    scene: Scene, fan: _LinkFan, link: np.ndarray, building: np.ndarray
+) -> np.ndarray:
+    """Whether each building touches its link's clearance zone (or, at zero
+    wavelength, cuts its segment); ``link`` indexes the flattened fan."""
+    tris = scene.triangles[(building[:, None] * 10 + np.arange(10)).ravel()]
+    row_link = np.repeat(link, 10)
+    if fan.geometric:
+        axial = fan.frame.reshape(-1, 3, 3)[row_link, 1]
+        hit, s, _, _ = _mt_batch(fan.tx, axial, tris)
+        hit &= s < fan.length.reshape(-1)[row_link]
+    else:
+        center = 0.5 * (fan.tx + fan.rx.reshape(-1, 3)[link])
+        frame = fan.frame.reshape(-1, 3, 3)[link]
+        rel = tris.reshape(len(link), 30, 3) - center[:, None]
+        mapped = (rel @ frame.transpose(0, 2, 1)) / fan.semi_axes.reshape(-1, 3)[link][:, None]
+        mapped = mapped.reshape(-1, 3, 3)
+        hit = _point_triangle_dist_sq(mapped[:, 0], mapped[:, 1], mapped[:, 2]) <= 1.0
+    return hit.reshape(-1, 10).any(axis=1)
+
+
+def _scene_verdicts(scene: Scene, fan: _LinkFan) -> tuple[np.ndarray, np.ndarray]:
+    """Valid receivers and blocked links of the whole fan, shape (K, R).
+
+    Culls run one azimuth at a time; the surviving pairs then go through
+    the exact test in batches of at most ``_BATCH_PAIRS``, which bounds
+    its temporaries.
+    """
+    n_rings = fan.length.shape[1]
+    valid, link, building = [], [], []
+    for k in range(len(fan.unit)):
+        ok, ring, near = _azimuth_candidates(scene, fan, k)
+        valid.append(ok)
+        link.append(k * n_rings + ring)
+        building.append(near)
+    link = np.concatenate(link)
+    building = np.concatenate(building)
+    blocked = np.zeros(fan.length.size, dtype=bool)
+    for start in range(0, link.size, _BATCH_PAIRS):
+        batch = slice(start, start + _BATCH_PAIRS)
+        blocked[link[batch][_pairs_blocked(scene, fan, link[batch], building[batch])]] = True
+    return np.array(valid), blocked.reshape(fan.length.shape)
+
+
+def realization_scene(
+    env: Environment, extent: float, seed: int, index: int, layout: str = "grid"
+) -> Scene:
+    """The scene of realization ``index`` of an estimate seeded with ``seed``."""
+    return synthesize_scene(env, extent, _subseed(seed, index), layout=layout)
+
+
+def default_extent(d_grid: Sequence[float]) -> float:
+    """Scene side that keeps every ring of ``d_grid`` inside the city [m]."""
+    return 2.0 * max(d_grid) + 100.0
+
+
 def estimate_p_los(
     env: Environment,
     spec: FresnelSpec,
@@ -437,6 +615,15 @@ def estimate_p_los(
     counts as LoS when its first-order clearance zone is free of scene
     triangles.
 
+    The receivers of one azimuth share a ground corridor from the scene
+    center, so a scene is evaluated one azimuth at a time: buildings are
+    culled once against the corridor of the longest ring, then per link by
+    bounding circle and by roof height (a roof below the cylinder that
+    encloses the clearance zone cannot touch it). The surviving (link,
+    building) pairs of consecutive azimuths go through the exact test in
+    array batches. The verdicts are those of `los_blocked_fresnel` on each
+    link.
+
     The default extent, 2*max(d) + 100 m, keeps every ring inside the
     city. Realizations run in parallel (see A2G_LOS_THREADS) and are
     reduced in realization order, so results do not depend on the worker
@@ -452,36 +639,17 @@ def estimate_p_los(
     if min(distances) <= 0.0:
         raise ValueError("distances must be > 0")
     if extent is None:
-        extent = 2.0 * max(distances) + 100.0
+        extent = default_extent(distances)
     if max(distances) > extent / 2.0:
         raise ValueError(
             f"ring radius {max(distances)} m exceeds half the extent ({extent / 2.0} m)"
         )
-
-    angles = 2.0 * math.pi * np.arange(links_per_ring) / links_per_ring
-    ring_unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    tx = np.array([0.0, 0.0, h_tx])
+    fan = _link_fan(spec, h_tx, h_rx, distances, links_per_ring)
 
     def one_realization(r: int) -> tuple[np.ndarray, np.ndarray]:
-        scene = synthesize_scene(env, extent, _subseed(seed, r), layout=layout)
-        clear = np.zeros(len(distances), dtype=np.int64)
-        valid = np.zeros(len(distances), dtype=np.int64)
-        half_w = scene._widths / 2.0
-        for di, d in enumerate(distances):
-            ring = ring_unit * d
-            # receivers inside a footprint are not usable terminal positions
-            inside = (
-                (np.abs(ring[:, 0][:, None] - scene._centers[:, 0]) <= half_w)
-                & (np.abs(ring[:, 1][:, None] - scene._centers[:, 1]) <= half_w)
-            ).any(axis=1)
-            for k in range(links_per_ring):
-                if inside[k]:
-                    continue
-                valid[di] += 1
-                rx = np.array([ring[k, 0], ring[k, 1], h_rx])
-                if not los_blocked_fresnel(scene, tx, rx, spec):
-                    clear[di] += 1
-        return clear, valid
+        scene = realization_scene(env, extent, seed, r, layout=layout)
+        valid, blocked = _scene_verdicts(scene, fan)
+        return np.sum(valid & ~blocked, axis=0), np.sum(valid, axis=0)
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         results = list(pool.map(one_realization, range(realizations)))

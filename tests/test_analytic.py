@@ -192,6 +192,12 @@ class TestElevationSweep:
         with pytest.raises(ValueError):
             p_los_vs_elevation(URBAN, FresnelSpec(LAMBDA_28GHZ), 500.0, 2.0, [0.0])
 
+    def test_terminals_at_one_height_rejected(self):
+        # no TX-RX height difference: every angle would map to distance 0
+        for h_rx in (2.0, 3.0):
+            with pytest.raises(ValueError, match="h_tx > h_rx"):
+                p_los_vs_elevation(URBAN, FresnelSpec(LAMBDA_28GHZ), 2.0, h_rx, [math.radians(10.0)])
+
     def test_published_crossing_angles(self):
         # thresholds at P = 0.6 for a 500 m transmitter, within 2.5 degrees
         spec = FresnelSpec(LAMBDA_28GHZ)

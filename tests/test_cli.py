@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from a2glos.analytic import p_los, p_los_baseline
@@ -5,6 +7,9 @@ from a2glos.approx import ApproxParams, p_los_approx
 from a2glos.cli import _parse_grid, main
 from a2glos.environment import Environment
 from a2glos.geometry import FresnelSpec, LinkGeometry
+from a2glos.rt_sim import _subseed, dump_scene_csv, realization_scene
+
+URBAN = Environment(0.3, 500.0, 15.0)
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -109,6 +114,13 @@ class TestAnalyticCommand:
         assert main(["analytic", "--scenario", "urban", "--htx", "70", "--f-ghz", "6",
                      "--d", "10:1:5"]) == 2
 
+    def test_elevation_sweep_at_equal_heights_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "never.csv"
+        code = main(["analytic", "--scenario", "urban", "--f-ghz", "28", "--htx", "2",
+                     "--hrx", "2", "--elevation", "10:30:10", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
     def test_no_partial_file_on_failure(self, tmp_path):
         out = tmp_path / "never.csv"
         code = main(["analytic", "--scenario", "urban", "--htx", "70", "--f-ghz", "6",
@@ -153,8 +165,20 @@ class TestSimulateCommand:
         scene_lines = dump.read_text().splitlines()
         n_rows = len([l for l in scene_lines if l and not l.startswith("#")]) - 1
         header = [l for l in scene_lines if l.startswith("# extent=")][0]
-        assert "seed=1" in header
+        assert header.endswith(f" seed={_subseed(1, 0)}")  # realization 0's scene
         assert n_rows > 0
+        expected = io.StringIO()
+        dump_scene_csv(realization_scene(URBAN, 500.0, 1, 0), expected)
+        assert dump.read_text() == expected.getvalue()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_output_leaves_no_scene_dump(self, tmp_path):
+        dump = tmp_path / "scene.csv"
+        code = main(["simulate", "--scenario", "urban", "--htx", "120", "--f-ghz", "28",
+                     "--d", "100", "--realizations", "1", "--links-per-ring", "8",
+                     "--dump-scene", str(dump), "--out", str(tmp_path / "nodir" / "x.csv")])
+        assert code == 1
+        assert not dump.exists()
 
     def test_elevation_mode(self, tmp_path):
         code, out = run_cli(
@@ -270,6 +294,15 @@ class TestFitCommand:
         code2, _ = run_cli(args, tmp_path, "report2.csv")
         assert code2 == 0
         assert d1_file.read_bytes() == first
+
+    def test_failed_report_leaves_no_model_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m").mkdir()
+        code = main(["fit", "--scenario", "urban", "--f-ghz", "28",
+                     "--delta-h", "28.5:128.5:10", "--epochs", "10",
+                     "--out-prefix", "m/u", "--out", "nodir/report.csv"])
+        assert code == 1
+        assert list((tmp_path / "m").iterdir()) == []
 
     def test_degenerate_dataset_fails_with_the_offending_height(self, tmp_path, capsys):
         # a transmitter this high never loses any link: nothing to fit

@@ -3,21 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from a2glos.environment import Environment
+from a2glos.environment import Environment, get_scenario
 from a2glos.geometry import FresnelSpec, LinkGeometry, allowed_height, wavelength_from_frequency
 from a2glos.rt_sim import (
     Building,
     Ray,
     Scene,
     Triangle,
+    _azimuth_candidates,
+    _candidate_triangles,
+    _link_fan,
     _mt_batch,
     _point_triangle_dist_sq,
+    _scene_verdicts,
     _subseed,
+    default_extent,
     dump_scene_csv,
     estimate_p_los,
     los_blocked_fresnel,
     los_blocked_geometric,
     ray_triangle_intersect,
+    realization_scene,
     sample_heights,
     synthesize_scene,
 )
@@ -314,6 +320,105 @@ class TestEstimate:
             estimate_p_los(URBAN, SPEC28, 120.0, 2.0, [100.0], realizations=0, links_per_ring=8, seed=0)
         with pytest.raises(ValueError):
             estimate_p_los(URBAN, SPEC28, 120.0, 2.0, [-5.0], realizations=1, links_per_ring=8, seed=0)
+
+
+class TestBatchedVerdicts:
+    """The estimator's culled, batched verdicts against the per-link oracle."""
+
+    D_GRID = [30.0, 90.0, 180.0, 300.0]
+    LINKS_PER_RING = 24
+    REALIZATIONS = 2
+
+    @pytest.mark.parametrize(
+        "scenario, layout, h_tx, spec",
+        [
+            ("urban", "grid", 500.0, SPEC28),
+            ("urban", "grid", 40.0, SPEC28),
+            ("high-rise", "uniform", 60.0, SPEC28),
+            ("urban", "grid", 40.0, FresnelSpec(0.0)),
+            ("high-rise", "uniform", 60.0, FresnelSpec(0.0)),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    def test_every_link_matches_the_per_link_test(self, scenario, layout, h_tx, spec, seed):
+        env = get_scenario(scenario).env
+        extent = default_extent(self.D_GRID)
+        fan = _link_fan(spec, h_tx, 2.0, self.D_GRID, self.LINKS_PER_RING)
+        clear = np.zeros(len(self.D_GRID), dtype=np.int64)
+        n_valid = np.zeros(len(self.D_GRID), dtype=np.int64)
+        for r in range(self.REALIZATIONS):
+            scene = realization_scene(env, extent, seed, r, layout=layout)
+            valid, blocked = _scene_verdicts(scene, fan)
+            half_w = scene._widths / 2.0
+            for k in range(self.LINKS_PER_RING):
+                for i in range(len(self.D_GRID)):
+                    rx = fan.rx[k, i]
+                    inside = np.any(
+                        (np.abs(rx[0] - scene._centers[:, 0]) <= half_w)
+                        & (np.abs(rx[1] - scene._centers[:, 1]) <= half_w)
+                    )
+                    assert valid[k, i] == (not inside), (r, k, i)
+                    if inside:
+                        continue
+                    expected = los_blocked_fresnel(scene, fan.tx, rx, spec)
+                    assert blocked[k, i] == expected, (r, k, i)
+            clear += np.sum(valid & ~blocked, axis=0)
+            n_valid += np.sum(valid, axis=0)
+        est = estimate_p_los(env, spec, h_tx, 2.0, self.D_GRID, self.REALIZATIONS,
+                             self.LINKS_PER_RING, seed, layout=layout)
+        assert np.array_equal(est.n_links, n_valid)
+        assert np.array_equal(est.p_los, clear / n_valid)
+        assert 0 < clear.sum() < n_valid.sum()  # both verdicts occur
+
+    @pytest.mark.parametrize("offset", [0.0, 10.5])
+    @pytest.mark.parametrize("h_tx, h_rx", [(60.0, 2.0), (2.0, 60.0)])
+    def test_roofs_grazing_the_zone_on_a_sloping_link(self, h_tx, h_rx, offset):
+        # The ray drops 58 m over 300 m, so it is ~3 m lower at the building's
+        # low-end edge than above its centre; roofs in between graze the zone
+        # there. The offset building's wall stands 0.5 m beside the ray.
+        fan = _link_fan(SPEC28, h_tx, h_rx, [300.0], 1)
+        verdicts = []
+        for roof in np.linspace(26.0, 31.0, 51):
+            scene = Scene([Building(150.0, offset, 20.0, roof)], extent=1000.0, seed=0)
+            valid, blocked = _scene_verdicts(scene, fan)
+            expected = los_blocked_fresnel(scene, fan.tx, fan.rx[0, 0], SPEC28)
+            assert valid[0, 0] and blocked[0, 0] == expected, roof
+            verdicts.append((expected, los_blocked_geometric(scene, fan.tx, fan.rx[0, 0])))
+        assert (False, False) in verdicts
+        assert (True, False) in verdicts  # blocked by clearance only
+
+    def test_corner_grazing_a_steep_link(self):
+        # 45-degree link along the diagonal at 2.4 GHz: a building centred
+        # on the track points a roof corner at the zone, and the zone's
+        # underside sits clearance / cos(elevation) below the axis
+        spec = FresnelSpec(wavelength_from_frequency(2.4e9))
+        fan = _link_fan(spec, 302.0, 2.0, [300.0], 8)
+        center = 150.0 / math.sqrt(2.0)
+        verdicts = []
+        for roof in np.linspace(128.0, 140.0, 61):
+            scene = Scene([Building(center, center, 20.0, roof)], extent=1000.0, seed=0)
+            valid, blocked = _scene_verdicts(scene, fan)
+            expected = los_blocked_fresnel(scene, fan.tx, fan.rx[1, 0], spec)
+            assert valid.all() and blocked[1, 0] == expected, roof
+            assert not blocked[[0, 2, 3, 4, 5, 6, 7]].any()
+            verdicts.append((expected, los_blocked_geometric(scene, fan.tx, fan.rx[1, 0])))
+        assert (False, False) in verdicts
+        assert (True, False) in verdicts  # blocked by clearance only
+
+    @pytest.mark.parametrize("spec", [SPEC28, FresnelSpec(0.0)])
+    def test_height_cull_drops_some_but_not_all_buildings(self, spec):
+        # low TX over tall blocks: the roof-height bound is not trivial here
+        env = get_scenario("high-rise").env
+        fan = _link_fan(spec, 60.0, 2.0, self.D_GRID, self.LINKS_PER_RING)
+        scene = realization_scene(env, default_extent(self.D_GRID), 5, 0, layout="uniform")
+        kept = circle = 0
+        for k in range(self.LINKS_PER_RING):
+            valid, ring, _ = _azimuth_candidates(scene, fan, k)
+            kept += len(ring)
+            for i in np.nonzero(valid)[0]:
+                tris = _candidate_triangles(scene, fan.tx, fan.rx[k, i], fan.clearance[k, i])
+                circle += len(tris) // 10
+        assert 0 < kept < circle
 
 
 class TestSubseed:
