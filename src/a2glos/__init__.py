@@ -35,6 +35,7 @@ from .analytic import (
     max_comm_distance,
     p_los,
     p_los_baseline,
+    p_los_curve,
     p_los_vs_elevation,
 )
 from .approx import (
@@ -97,6 +98,7 @@ __all__ = [
     "max_comm_distance",
     "p_los",
     "p_los_baseline",
+    "p_los_curve",
     "p_los_vs_elevation",
     "ApproxParams",
     "Mlp",

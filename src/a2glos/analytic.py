@@ -10,6 +10,8 @@ clearance limit of the link. Two variants are provided:
   first-order (or order-n) Fresnel clearance requirement, which brings the
   carrier frequency into the model.
 
+Every sweep evaluates :func:`p_los` through its array form :func:`p_los_curve`.
+
 A clearance limit of zero or below means the building blocks the link with
 certainty, so that factor is zero. The width-aware building positions can
 land slightly beyond the receiver; the transverse clearance reach is
@@ -21,12 +23,20 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .environment import Environment, building_count, mean_width
 from .geometry import FresnelSpec, LinkGeometry
 
 #: Default search ceiling for max_comm_distance [m].
 DEFAULT_MAX_SEARCH_DISTANCE = 20_000.0
+
+#: Rows x buildings that p_los_curve evaluates per block. It bounds the
+#: temporaries to 32 KiB each; larger blocks were no faster and raised peak memory.
+_CURVE_BLOCK = 4096
+
+#: Distances per p_los_curve call in the 1 m scan of max_comm_distance.
+_MCD_CHUNK = 128
 
 
 def _clearance_limits(
@@ -95,6 +105,49 @@ def p_los(
     return float(np.prod(factors))
 
 
+def p_los_curve(
+    h_tx: ArrayLike, h_rx: ArrayLike, d: ArrayLike, env: Environment, spec: FresnelSpec,
+    width: float | None = None,
+) -> np.ndarray:
+    """:func:`p_los` over arrays of heights and distances, broadcast together.
+
+    A masked rows x n_max product: slots past a row's own building count are
+    factors of 1, and rows with no building expected (d == 0 too) are 1.0.
+    Each row's clearance scale uses math.hypot, as p_los does, so every value
+    equals the scalar one bit for bit. Raises ValueError for non-finite
+    heights, distances or width, h_rx < 0, h_tx < h_rx, h_tx <= 0, d < 0 or
+    width < 0, whether or not any building is expected.
+    """
+    h_tx, h_rx, d = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (h_tx, h_rx, d)))
+    if not (np.isfinite(h_tx).all() and np.isfinite(h_rx).all() and (h_rx >= 0.0).all()):
+        raise ValueError("heights must be finite, with h_rx >= 0")
+    if not ((h_tx >= h_rx) & (h_tx > 0.0)).all():
+        raise ValueError("h_tx must be > 0 and not below h_rx")
+    if not (np.isfinite(d) & (d >= 0.0)).all():
+        raise ValueError("distances must be finite and >= 0")
+    w = mean_width(env) if width is None else float(width)
+    if not 0.0 <= w < math.inf:
+        raise ValueError(f"width must be finite and >= 0, got {width}")
+    out = np.ones(d.shape)
+    flat, d, h_tx, h_rx = out.reshape(-1), d.reshape(-1), h_tx.reshape(-1), h_rx.reshape(-1)
+    n = np.floor(d * math.sqrt(env.alpha * env.beta) / 1000.0)
+    rows = np.flatnonzero(n)
+    idx = np.arange(1.0, n.max(initial=0.0) + 1.0)
+    per_block = max(1, _CURVE_BLOCK // max(idx.size, 1))
+    for start in range(0, rows.size, per_block):
+        sel = rows[start : start + per_block]
+        dd, nn, top = d[sel, None], n[sel, None], h_tx[sel, None]
+        dh = top - h_rx[sel, None]
+        hyp = np.array(list(map(math.hypot, dd[:, 0].tolist(), dh[:, 0].tolist())))
+        d_i = (idx - 0.5) * dd / nn + w / 2.0
+        reach = np.maximum(np.minimum(d_i, dd - d_i), 0.0)
+        fresnel_drop = np.sqrt(spec.order * spec.wavelength * dd) * reach / hyp[:, None]
+        limits = np.maximum(top - d_i * dh / dd - fresnel_drop, 0.0)
+        factors = 1.0 - np.exp(-(limits**2) / (2.0 * env.gamma**2))
+        flat[sel] = np.prod(np.where(idx <= nn, factors, 1.0), axis=1)
+    return out
+
+
 def max_comm_distance(
     h_tx: float,
     h_rx: float,
@@ -117,18 +170,16 @@ def max_comm_distance(
     def p_at(d: float) -> float:
         return p_los(LinkGeometry(h_tx, h_rx, d), env, spec, width=width)
 
-    step = 1.0
-    lo = None
-    hi = None
-    d = step
-    while d <= max_distance:
-        if p_at(d) < threshold:
-            hi = d
-            lo = d - step if d > step else 0.0
+    last = math.floor(max_distance)
+    for start in range(1, last + 1, _MCD_CHUNK):
+        ds = np.arange(start, min(start + _MCD_CHUNK, last + 1), dtype=float)
+        below = np.flatnonzero(p_los_curve(h_tx, h_rx, ds, env, spec, width) < threshold)
+        if below.size:
+            hi = float(ds[below[0]])
             break
-        d += step
-    if hi is None:
+    else:
         return None
+    lo = hi - 1.0
     # Bisect the bracketing step; lo == 0.0 only if P < threshold at 1 m,
     # which cannot happen (no building is expected at sub-metre range).
     while hi - lo > 0.1:
@@ -157,14 +208,8 @@ def p_los_vs_elevation(
     """
     if not h_tx > h_rx:
         raise ValueError(f"an elevation sweep needs h_tx > h_rx, got {h_tx} and {h_rx}")
-    out: list[float] = []
-    dh = h_tx - h_rx
     for theta in angles:
         if not 0.0 < theta <= math.pi / 2.0:
             raise ValueError(f"elevation angle must be in (0, pi/2], got {theta}")
-        d = dh / math.tan(theta)
-        if d <= 0.0:
-            out.append(1.0)
-            continue
-        out.append(p_los(LinkGeometry(h_tx, h_rx, d), env, spec, width=width))
-    return out
+    d = [(h_tx - h_rx) / math.tan(theta) for theta in angles]
+    return p_los_curve(h_tx, h_rx, d, env, spec, width).tolist()

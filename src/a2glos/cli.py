@@ -21,7 +21,8 @@ from typing import IO, Callable
 import numpy as np
 
 from . import __version__
-from .analytic import max_comm_distance, p_los, p_los_vs_elevation
+# perfbench/tracing.py wraps p_los, max_comm_distance and p_los_vs_elevation here by name.
+from .analytic import max_comm_distance, p_los, p_los_curve, p_los_vs_elevation  # noqa: F401
 from .approx import (
     ApproxParams,
     STANDARD_PARAM_SETS,
@@ -40,7 +41,7 @@ from .fit import (
     split_dataset,
     train,
 )
-from .geometry import FresnelSpec, LinkGeometry, wavelength_from_frequency
+from .geometry import FresnelSpec, wavelength_from_frequency
 from .rt_sim import (
     default_extent,
     dump_scene_csv,
@@ -153,13 +154,9 @@ def cmd_analytic(args) -> tuple[list[str], Files]:
         lines += [f"{_fmt(t)},{_fmt(p)}" for t, p in zip(thetas, probs)]
     else:
         grid = _parse_grid(args.d)
+        probs = p_los_curve(args.htx, args.hrx, grid, env, spec, args.width).tolist()
         lines.append("d,p_los")
-        for d in grid:
-            if d == 0.0:  # zero-distance limit
-                p = 1.0
-            else:
-                p = p_los(LinkGeometry(args.htx, args.hrx, d), env, spec, width=args.width)
-            lines.append(f"{_fmt(d)},{_fmt(p)}")
+        lines += [f"{_fmt(d)},{_fmt(p)}" for d, p in zip(grid, probs)]
     if args.mcd is not None:
         mcd = max_comm_distance(args.htx, args.hrx, env, spec, args.mcd, width=args.width)
         value = "none" if mcd is None else _fmt(mcd)
@@ -301,9 +298,7 @@ def cmd_compare(args) -> tuple[list[str], Files]:
     notes: list[str] = []
     for model in models:
         if model == "analytic":
-            columns[model] = [
-                p_los(LinkGeometry(args.htx, args.hrx, d), env, spec) for d in d_grid
-            ]
+            columns[model] = p_los_curve(args.htx, args.hrx, d_grid, env, spec).tolist()
         elif model in ("approx-3gpp", "approx-5gcm"):
             params = STANDARD_PARAM_SETS[model.split("-")[1]]
             columns[model] = [p_los_approx(d, params) for d in d_grid]

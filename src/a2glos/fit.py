@@ -21,10 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import p_los
+# perfbench/tracing.py wraps p_los here by name.
+from .analytic import p_los, p_los_curve  # noqa: F401
 from .approx import ApproxParams, Mlp, mlp_forward, p_los_approx
 from .environment import Environment
-from .geometry import FresnelSpec, LinkGeometry, wavelength_from_frequency
+from .geometry import FresnelSpec, wavelength_from_frequency
 from .workers import worker_count
 
 #: Fraction of records used for training in the random split.
@@ -218,16 +219,15 @@ def build_dataset(
     if d.size == 0:
         raise ValueError("distance grid is empty")
 
-    def fit_one(delta_h: float) -> tuple[float, float, float] | str:
-        curve = np.array(
-            [p_los(LinkGeometry(h_rx + delta_h, h_rx, di), env, spec) for di in d]
-        )
+    curves = p_los_curve(h_rx + dhs[:, None], h_rx, d, env, spec)
+
+    def fit_one(curve: np.ndarray) -> tuple[float, float, float] | str:
         if np.all(curve >= 1.0):
             return "analytic curve is identically 1 on the distance grid"
         return fit_parametric_curve(d, curve)
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(fit_one, dhs))
+        results = list(pool.map(fit_one, curves))
 
     records = []
     rejected = []
@@ -475,17 +475,14 @@ def approx_vs_analytic_error(
         default_delta_h_grid() if delta_h_grid is None else delta_h_grid, dtype=float
     )
     d = np.asarray(default_d_grid() if d_grid is None else d_grid, dtype=float)
+    analytic_mesh = p_los_curve(h_rx + dhs[:, None], h_rx, d, env, spec)
     total_sq = 0.0
     max_abs = 0.0
     count = 0
-    for delta_h in dhs:
+    for delta_h, analytic in zip(dhs, analytic_mesh):
         params = ApproxParams(
             d1=max(mlp_forward(mlp_d1, delta_h), 1e-3),
             d2=max(mlp_forward(mlp_d2, delta_h), 1e-3),
-        )
-        link_h = h_rx + delta_h
-        analytic = np.array(
-            [p_los(LinkGeometry(link_h, h_rx, di), env, spec) for di in d]
         )
         model = np.array([p_los_approx(di, params) for di in d])
         err = model - analytic

@@ -28,11 +28,11 @@ class LinkGeometry:
     def __post_init__(self) -> None:
         if not self.h_tx > 0.0:
             raise ValueError(f"h_tx must be > 0, got {self.h_tx}")
-        if self.h_rx < 0.0:
+        if not self.h_rx >= 0.0:
             raise ValueError(f"h_rx must be >= 0, got {self.h_rx}")
         if not self.d_rx > 0.0:
             raise ValueError(f"d_rx must be > 0, got {self.d_rx}")
-        if self.h_tx < self.h_rx:
+        if not self.h_tx >= self.h_rx:
             raise ValueError(
                 f"h_tx ({self.h_tx}) must not be below h_rx ({self.h_rx})"
             )

@@ -3,13 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from a2glos.analytic import max_comm_distance, p_los, p_los_baseline, p_los_vs_elevation
+from a2glos import analytic
+from a2glos.analytic import (
+    max_comm_distance,
+    p_los,
+    p_los_baseline,
+    p_los_curve,
+    p_los_vs_elevation,
+)
 from a2glos.environment import (
     Environment,
     building_count,
     building_position,
     get_scenario,
     height_cdf,
+    load_scenarios,
 )
 from a2glos.geometry import FresnelSpec, LinkGeometry, allowed_height, wavelength_from_frequency
 
@@ -17,6 +25,8 @@ URBAN = Environment(0.3, 500.0, 15.0)
 HIGH_RISE = Environment(0.5, 300.0, 50.0)
 LAMBDA_6GHZ = wavelength_from_frequency(6e9)
 LAMBDA_28GHZ = wavelength_from_frequency(28e9)
+PRESETS = [preset.env for preset in load_scenarios().values()]
+CARRIERS = [wavelength_from_frequency(2.4e9), LAMBDA_28GHZ, 0.0]  # 0: --f-inf
 
 
 def baseline_oracle(h_tx, h_rx, d, env):
@@ -216,3 +226,136 @@ class TestElevationSweep:
         (p_theta,) = p_los_vs_elevation(URBAN, spec, 500.0, 2.0, [theta])
         d = 498.0 / math.tan(theta)
         assert p_theta == p_los(LinkGeometry(500.0, 2.0, d), URBAN, spec)
+
+
+def scalar_curve(h_tx, h_rx, distances, env, spec, width=None):
+    """The scalar p_los at each distance; 1 where no building is expected."""
+    return np.array([
+        p_los(LinkGeometry(h_tx, h_rx, d), env, spec, width=width)
+        if building_count(env, d) > 0 else 1.0
+        for d in distances
+    ])
+
+
+def scalar_mcd(h_tx, h_rx, env, spec, threshold, max_distance=20_000.0):
+    """1 m scan with the scalar p_los, then bisection down to 0.1 m."""
+    def p_at(d):
+        return p_los(LinkGeometry(h_tx, h_rx, d), env, spec)
+
+    d = 1.0
+    while d <= max_distance:
+        if p_at(d) < threshold:
+            lo, hi = d - 1.0, d
+            while hi - lo > 0.1:
+                mid = 0.5 * (lo + hi)
+                if p_at(mid) >= threshold:
+                    lo = mid
+                else:
+                    hi = mid
+            return lo
+        d += 1.0
+    return None
+
+
+class TestCurveKernel:
+    # d = 0, sub-metre and below-first-building rows, every metre of the
+    # first kilometre (building counts 1..12 side by side), then out to 20 km
+    DISTANCES = np.concatenate(
+        ([0.0, 0.5, 3.0], np.arange(1.0, 1001.0), np.linspace(1000.0, 20_000.0, 97))
+    )
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("lam", CARRIERS)
+    @pytest.mark.parametrize("env", PRESETS)
+    def test_matches_scalar_oracle(self, env, lam, order):
+        spec = FresnelSpec(lam, order=order)
+        for h_tx in (30.0, 300.0):
+            for width in (None, 35.0, 0.0):
+                got = p_los_curve(h_tx, 1.5, self.DISTANCES, env, spec, width)
+                expect = scalar_curve(h_tx, 1.5, self.DISTANCES, env, spec, width)
+                assert got.shape == self.DISTANCES.shape
+                assert np.max(np.abs(got - expect)) <= 1e-15
+
+    def test_rows_without_buildings_are_exactly_one(self):
+        spec = FresnelSpec(LAMBDA_28GHZ)
+        first = 1000.0 / math.sqrt(URBAN.alpha * URBAN.beta)  # count steps 0 -> 1
+        d = np.array([0.0, 0.5, first - 1e-6, first + 1e-6, 500.0])
+        got = p_los_curve(5.0, 1.5, d, URBAN, spec)
+        assert got[:3].tolist() == [1.0, 1.0, 1.0]
+        assert got[3] < 1.0 and got[4] < got[3]
+        assert p_los_curve(5.0, 1.5, [0.0, 0.5], URBAN, spec).tolist() == [1.0, 1.0]
+
+    def test_heights_broadcast_against_distances(self):
+        spec = FresnelSpec(LAMBDA_28GHZ)
+        dhs = np.array([28.5, 98.5, 498.5])
+        d = np.array([1.0, 10.0, 90.0, 400.0, 1000.0])
+        mesh = p_los_curve(1.5 + dhs[:, None], 1.5, d, URBAN, spec)
+        assert mesh.shape == (3, 5)
+        for row, dh in zip(mesh, dhs):
+            assert np.array_equal(row, scalar_curve(1.5 + dh, 1.5, d, URBAN, spec))
+
+    def test_blocking_does_not_change_values(self, monkeypatch):
+        spec = FresnelSpec(LAMBDA_28GHZ)
+        d = np.arange(0.0, 3000.0, 7.0)
+        whole = p_los_curve(100.0, 1.5, d, HIGH_RISE, spec)
+        monkeypatch.setattr(analytic, "_CURVE_BLOCK", 50)  # a few rows a block
+        assert np.array_equal(p_los_curve(100.0, 1.5, d, HIGH_RISE, spec), whole)
+
+    @pytest.mark.parametrize(
+        "h_tx, h_rx, d, width",
+        [
+            (1.0, 2.0, 0.0, None),  # TX below RX
+            (30.0, -1.0, 5.0, None),
+            (30.0, math.nan, 5.0, None),
+            (math.nan, 1.5, 5.0, None),
+            (math.inf, 1.5, 5.0, None),
+            (0.0, 0.0, 5.0, None),
+            (30.0, 1.5, -1.0, None),
+            (30.0, 1.5, math.inf, None),
+            (30.0, 1.5, math.nan, None),
+            (30.0, 1.5, 5.0, -3.0),
+            (30.0, 1.5, 5.0, math.nan),
+        ],
+    )
+    def test_degenerate_inputs_rejected_without_buildings_too(self, h_tx, h_rx, d, width):
+        # 5 m crosses no urban building, so only the validation can object
+        with pytest.raises(ValueError):
+            p_los_curve(h_tx, h_rx, [d], URBAN, FresnelSpec(LAMBDA_28GHZ), width)
+
+
+class TestMaxCommDistanceOracle:
+    @pytest.mark.parametrize("lam", CARRIERS)
+    @pytest.mark.parametrize("env", PRESETS)
+    def test_matches_scalar_scan(self, env, lam):
+        spec = FresnelSpec(lam)
+        for h_tx in (30.0, 100.0, 300.0, 1000.0):
+            assert max_comm_distance(h_tx, 1.5, env, spec, 0.6) == scalar_mcd(
+                h_tx, 1.5, env, spec, 0.6
+            )
+
+    @pytest.mark.parametrize("chunk", [1, 3, 128])
+    def test_search_ceiling_and_chunk_edges(self, monkeypatch, chunk):
+        # the first metre below threshold is 164 m; the ceiling decides
+        # whether the scan reaches it, whatever the chunking
+        monkeypatch.setattr(analytic, "_MCD_CHUNK", chunk)
+        spec = FresnelSpec(LAMBDA_6GHZ)
+        for ceiling in (163.9, 164.0, 164.5, 1000.0):
+            got = max_comm_distance(300.0, 1.5, HIGH_RISE, spec, 0.6, max_distance=ceiling)
+            assert got == scalar_mcd(300.0, 1.5, HIGH_RISE, spec, 0.6, max_distance=ceiling)
+        assert max_comm_distance(300.0, 1.5, HIGH_RISE, spec, 0.6, max_distance=163.9) is None
+
+    def test_degenerate_heights_rejected(self):
+        spec = FresnelSpec(LAMBDA_28GHZ)
+        for h_tx, h_rx in ((30.0, math.nan), (math.inf, 1.5), (1.0, 2.0)):
+            with pytest.raises(ValueError):
+                max_comm_distance(h_tx, h_rx, URBAN, spec, 0.5)
+
+
+class TestElevationKernel:
+    @pytest.mark.parametrize("env", PRESETS)
+    def test_matches_scalar_path(self, env):
+        spec = FresnelSpec(LAMBDA_28GHZ)
+        thetas = np.radians(np.concatenate((np.arange(2.0, 90.0, 0.5), [90.0])))
+        got = p_los_vs_elevation(env, spec, 300.0, 1.5, thetas)
+        d = [298.5 / math.tan(t) for t in thetas]
+        assert got == scalar_curve(300.0, 1.5, d, env, spec).tolist()

@@ -121,6 +121,26 @@ class TestAnalyticCommand:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--htx", "1", "--hrx", "2", "--d", "0"],
+            ["--htx", "30", "--d", "5", "--width", "-3"],
+            ["--htx", "30", "--hrx", "nan", "--d", "5", "--mcd", "0.5"],
+            ["--htx", "inf", "--d", "5"],
+            ["--htx", "30", "--d", "inf"],
+        ],
+        ids=["tx-below-rx-at-zero", "negative-width", "nan-rx-with-mcd", "infinite-tx",
+             "infinite-distance"],
+    )
+    def test_degenerate_inputs_are_usage_errors(self, tmp_path, extra):
+        # none of these distances crosses a building, so no product is formed
+        out = tmp_path / "never.csv"
+        code = main(["analytic", "--scenario", "urban", "--f-ghz", "28", *extra,
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
     def test_no_partial_file_on_failure(self, tmp_path):
         out = tmp_path / "never.csv"
         code = main(["analytic", "--scenario", "urban", "--htx", "70", "--f-ghz", "6",

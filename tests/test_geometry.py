@@ -49,6 +49,8 @@ class TestLinkGeometry:
             dict(h_tx=10.0, h_rx=-1.0, d_rx=10.0),
             dict(h_tx=10.0, h_rx=1.0, d_rx=0.0),
             dict(h_tx=5.0, h_rx=6.0, d_rx=10.0),  # TX below RX
+            dict(h_tx=10.0, h_rx=math.nan, d_rx=10.0),
+            dict(h_tx=math.nan, h_rx=1.0, d_rx=10.0),
         ],
     )
     def test_rejects_bad_links(self, kwargs):
