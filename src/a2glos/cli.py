@@ -2,8 +2,9 @@
 
 All commands emit CSV with '#'-prefixed provenance headers (parameter echo,
 seed, package version) so any output file can regenerate its figure. File
-outputs are written to a temporary sibling and renamed on success, so a
-failing run never leaves a partial CSV behind.
+outputs, the CSV and any model or scene files, are each written to a
+temporary sibling and renamed into place only once all of them are
+written, so a failing run leaves no output file behind.
 
 Exit codes: 0 success, 2 usage error, 1 runtime error.
 """
@@ -53,7 +54,7 @@ from .rt_sim import (
 _KNOWN_MODELS = ("analytic", "approx-retrained", "approx-3gpp", "approx-5gcm")
 
 #: Files a command writes besides its CSV: (path, writer) pairs, written
-#: only after the CSV is.
+#: together with the CSV, all or none.
 Files = list[tuple[Path, Callable[[IO[str]], None]]]
 
 
@@ -98,30 +99,37 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_atomic(path: str | Path, write: Callable[[IO[str]], None]) -> None:
-    """Let ``write`` fill a temporary sibling of ``path``, then rename it
-    over ``path``: a failed write leaves no partial file behind."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(args, lines: list[str], files: Files) -> None:
-    """Write the CSV all at once, then the command's other files."""
+    """Write the CSV and the command's other files, all or none.
+
+    Every file is first written to a temporary sibling. The CSV goes to
+    stdout, or the temporaries are renamed into place, only once all of
+    them have been written; a failure removes them all. Files get the
+    permissions a plain ``open`` would give (0o666 less the umask).
+    """
     text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_atomic(args.out, lambda fh: fh.write(text))
-    for path, write in files:
-        _write_atomic(path, write)
+    outputs = list(files)
+    if args.out is not None:
+        outputs.insert(0, (Path(args.out), lambda fh: fh.write(text)))
+    umask = os.umask(0)
+    os.umask(umask)
+    staged: list[tuple[str, Path]] = []
+    try:
+        for path, write in outputs:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w") as fh:
+                os.chmod(tmp, 0o666 & ~umask)
+                write(fh)
+        if args.out is None:
+            sys.stdout.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
 
 
 def _header(command: str, pairs: dict[str, object]) -> list[str]:
@@ -184,7 +192,8 @@ def cmd_fit(args) -> tuple[list[str], Files]:
             f"dataset generation failed: delta_h={first[0]} rejected ({first[1]})"
         )
     train_ds, val_ds = split_dataset(ds, cfg.split_seed)
-    models = {t: train(ds, t, cfg) for t in ("d1", "d2")}
+    tags = ("d1", "d2")
+    models = dict(zip(tags, train(ds, tags, cfg=cfg)))
     mse, max_err = approx_vs_analytic_error(
         models["d1"], models["d2"], env, spec,
         h_rx=args.hrx, delta_h_grid=delta_h_grid, d_grid=d_grid,

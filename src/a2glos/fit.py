@@ -8,7 +8,10 @@ search over (D1, D2) followed by coordinate-descent refinement, yielding a
 Stage 2 (:func:`train`): train one small network per parameter on that
 dataset by full-batch gradient descent on a mean-square-error cost with an
 optional quadratic weight penalty. A 70/30 random split provides the
-validation set; the epoch with the best validation RMSE wins.
+validation set; the epoch with the best validation RMSE wins. The networks
+train in lockstep: every step evaluates all of them, on the training and
+the validation rows, in one pass, while each keeps its own learning rate,
+step halving, stop and best epoch.
 """
 
 from __future__ import annotations
@@ -104,12 +107,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.hidden_neurons < 1:
             raise ValueError("hidden_neurons must be >= 1")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be > 0")
+        if not (self.learning_rate > 0.0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.eta < 0.0:
-            raise ValueError("eta must be >= 0")
+        if not (self.eta >= 0.0 and math.isfinite(self.eta)):
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
 
 
 def default_delta_h_grid() -> np.ndarray:
@@ -320,113 +323,187 @@ def split_dataset(ds: FitDataset, seed: int) -> tuple[FitDataset, FitDataset]:
 # --- network internals ----------------------------------------------------
 
 
-def _forward(w1, b1, w2, b2, x):
-    """Hidden activations and outputs for normalized inputs x (N,)."""
-    with np.errstate(over="ignore"):  # saturated sigmoid: exp overflow -> 0
-        hidden = 1.0 / (1.0 + np.exp(-(np.outer(x, w1) + b1)))  # (N, J)
-    return hidden, hidden @ w2 + b2
+def _evaluate(theta, x, t, eta):
+    """Cost, gradient and outputs of K stacked networks in one pass.
+
+    ``theta`` holds one (w1 | b1 | w2 | b2) block per network, shape
+    (K, 3J+1). Every row of ``x`` (M,) goes through the forward pass; the
+    cost and the gradient are taken over the first N, against ``t`` (K, N).
+    Each network keeps the memory layout and the operations it would have
+    alone (K = 1), products and reductions included, so stacking changes
+    no bit. The caller silences exp overflow.
+
+    Returns the costs (a list of K floats), the gradient blocks (K, 3J+1)
+    and the outputs (K, M).
+    """
+    j = theta.shape[1] // 3
+    n = t.shape[1]
+    w1, b1, w2 = theta[:, None, :j], theta[:, None, j:2 * j], theta[:, None, 2 * j:3 * j]
+    hidden = x[:, None] * w1  # (K, M, J)
+    hidden += b1
+    np.negative(hidden, out=hidden)
+    np.exp(hidden, out=hidden)
+    hidden += 1.0
+    np.divide(1.0, hidden, out=hidden)
+    h = hidden[:, :n]
+    w2_col = w2.transpose(0, 2, 1)
+    y = np.empty((len(theta), len(x), 1))
+    np.matmul(h, w2_col, out=y[:, :n])
+    np.matmul(hidden[:, n:], w2_col, out=y[:, n:])
+    y = y[:, :, 0]
+    y += theta[:, 3 * j:]
+    err = y[:, :n] - t
+    sq = np.matmul(err[:, None, :], err[:, :, None]).ravel().tolist()
+    if eta:
+        pen = (np.matmul(w1, w1.transpose(0, 2, 1)).ravel().tolist(),
+               np.matmul(w2, w2_col).ravel().tolist())
+        cost = [s / n + 0.5 * eta * (p1 + p2) for s, p1, p2 in zip(sq, *pen)]
+    else:  # a zero penalty adds nothing
+        cost = [s / n for s in sq]
+    dy = np.multiply(err, 2.0, out=err)
+    dy /= n
+    grad = np.empty_like(theta)
+    np.matmul(h.transpose(0, 2, 1), dy[:, :, None], out=grad[:, 2 * j:3 * j, None])
+    np.add.reduce(dy, axis=1, out=grad[:, 3 * j])
+    dhidden = dy[:, :, None] * w2  # (K, N, J)
+    dhidden *= h
+    dhidden *= 1.0 - h
+    np.matmul(x[:n], dhidden, out=grad[:, :j])
+    np.add.reduce(dhidden, axis=1, out=grad[:, j:2 * j])
+    if eta:
+        grad[:, :j] += eta * theta[:, :j]
+        grad[:, 2 * j:3 * j] += eta * theta[:, 2 * j:3 * j]
+    return cost, grad, y
 
 
 def cost_and_gradient(w1, b1, w2, b2, x, t, eta):
     """Cost and its gradient for normalized data.
 
     Cost = mean squared error + (eta/2) * (|w1|^2 + |w2|^2); biases carry
-    no penalty. Returns (cost, (gw1, gb1, gw2, gb2)).
+    no penalty. Returns (cost, (gw1, gb1, gw2, gb2)). This is the
+    single-network view of the evaluator that :func:`train` runs.
     """
     w1 = np.asarray(w1, dtype=float)
-    b1 = np.asarray(b1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    n = len(x)
-    hidden, y = _forward(w1, b1, w2, b2, x)
-    err = y - t
-    cost = float(err @ err) / n + 0.5 * eta * (float(w1 @ w1) + float(w2 @ w2))
-    dy = 2.0 * err / n  # (N,)
-    gb2 = float(np.sum(dy))
-    gw2 = hidden.T @ dy + eta * w2
-    dhidden = np.outer(dy, w2) * hidden * (1.0 - hidden)  # (N, J)
-    gw1 = x @ dhidden + eta * w1
-    gb1 = dhidden.sum(axis=0)
-    return cost, (gw1, gb1, gw2, gb2)
+    j = len(w1)
+    theta = np.concatenate([w1, np.asarray(b1, dtype=float),
+                            np.asarray(w2, dtype=float), [float(b2)]])[None]
+    with np.errstate(over="ignore"):
+        cost, grad, _ = _evaluate(theta, np.asarray(x, dtype=float),
+                                  np.asarray(t, dtype=float)[None], eta)
+    g = grad[0]
+    return cost[0], (g[:j], g[j:2 * j], g[2 * j:3 * j], float(g[3 * j]))
 
 
-def train(ds: FitDataset, target: str, cfg: TrainConfig | None = None) -> Mlp:
-    """Train a network mapping delta_h to one parameter ('d1' or 'd2').
+def train(
+    ds: FitDataset, targets: Sequence[str], cfg: TrainConfig | None = None
+) -> list[Mlp]:
+    """Train one network per target ('d1', 'd2') mapping delta_h to it.
 
-    Full-batch gradient descent with a safeguard: any step that would raise
-    the training cost is undone and the learning rate halved, so the cost
-    never increases between epochs. The returned model is the epoch with
-    the lowest validation RMSE. Raises on divergence (non-finite cost),
-    naming the offending hyperparameter.
+    The networks share the split and the input normalization and train in
+    lockstep: each step evaluates all of them, training and validation
+    rows together, in one pass. Per network the rules are those of
+    full-batch gradient descent with a safeguard: a step that would raise
+    the training cost is undone and that network's learning rate halved,
+    so its cost never increases between epochs; below a learning rate of
+    1e-15 it stops, and the others go on. Each returned model is its
+    network's epoch with the lowest validation RMSE. Raises on divergence
+    (non-finite cost), naming the target and its learning rate.
+
+    Returns one model per target, in order.
     """
+    if isinstance(targets, str):
+        raise ValueError(f"targets must be a sequence of names, got the string {targets!r}")
+    targets = list(targets)
+    if not targets:
+        raise ValueError("no targets to train")
     cfg = cfg or TrainConfig()
     train_ds, val_ds = split_dataset(ds, cfg.split_seed)
 
     in_lo, in_hi = float(np.min(train_ds.delta_h)), float(np.max(train_ds.delta_h))
-    targets = train_ds.column(target)
-    out_lo, out_hi = float(np.min(targets)), float(np.max(targets))
     if not in_hi > in_lo:
         raise ValueError("training inputs are constant; cannot normalize")
-    if not out_hi > out_lo:
-        # Constant target: widen the range symmetrically so the identity
-        # output can still express it.
-        out_lo, out_hi = out_lo - 0.5, out_hi + 0.5
+    columns = np.array([train_ds.column(target) for target in targets])
+    lo, hi = columns.min(axis=1, keepdims=True), columns.max(axis=1, keepdims=True)
+    # A constant target: widen its range symmetrically so the identity
+    # output can still express it.
+    flat = ~(hi > lo)
+    lo, hi = np.where(flat, lo - 0.5, lo), np.where(flat, hi + 0.5, hi)
+    span = hi - lo
+    t = (columns - lo) / span
+    tv_raw = np.array([val_ds.column(target) for target in targets])
+    # training rows first, then the validation rows, in one forward pass
+    x = (np.concatenate([train_ds.delta_h, val_ds.delta_h]) - in_lo) / (in_hi - in_lo)
+    n_train, n_val = t.shape[1], tv_raw.shape[1]
 
-    x = (train_ds.delta_h - in_lo) / (in_hi - in_lo)
-    t = (targets - out_lo) / (out_hi - out_lo)
-    xv = (val_ds.delta_h - in_lo) / (in_hi - in_lo)
-    tv_raw = val_ds.column(target)
+    def val_rmse(y):
+        pred = y[:, n_train:] * span
+        pred += lo
+        pred -= tv_raw
+        np.square(pred, out=pred)
+        return [math.sqrt(s / n_val) for s in np.add.reduce(pred, axis=1).tolist()]
 
     j = cfg.hidden_neurons
     rng = np.random.default_rng([cfg.split_seed, 1])
     w1 = rng.uniform(-0.5, 0.5, j)
     b1 = rng.uniform(-0.5, 0.5, j)
     w2 = rng.uniform(-0.5, 0.5, j)
-    b2 = float(rng.uniform(-0.5, 0.5))
+    b2 = rng.uniform(-0.5, 0.5)
+    theta = np.tile(np.concatenate([w1, b1, w2, [b2]]), (len(targets), 1))
+    lr = np.full((len(targets), 1), float(cfg.learning_rate))
+    epochs_left = [cfg.epochs] * len(targets)
 
-    def val_rmse(w1, b1, w2, b2) -> float:
-        _, yv = _forward(w1, b1, w2, b2, xv)
-        pred = yv * (out_hi - out_lo) + out_lo
-        return float(np.sqrt(np.mean((pred - tv_raw) ** 2)))
+    with np.errstate(over="ignore"):
+        cost, grad, y = _evaluate(theta, x, t, cfg.eta)
+        best_rmse = val_rmse(y)
+        best = theta.copy()
+        active = list(range(len(targets)))
+        while active:
+            step = lr * grad
+            cand = np.subtract(theta, step, out=step)
+            new_cost, new_grad, y = _evaluate(cand, x, t, cfg.eta)
+            rmse_now = val_rmse(y)
+            accepted, still = [], []
+            for i in active:
+                c = new_cost[i]
+                if not math.isfinite(c):
+                    raise ArithmeticError(
+                        f"training diverged for {targets[i]} (cost={c}); lower "
+                        f"learning_rate (currently {float(lr[i, 0])})"
+                    )
+                if lr[i, 0] < 1e-15:  # the rate was set below the floor
+                    continue
+                if c <= cost[i]:
+                    accepted.append(i)
+                    cost[i] = c
+                    if rmse_now[i] < best_rmse[i]:
+                        best_rmse[i] = rmse_now[i]
+                        best[i] = cand[i]
+                    epochs_left[i] -= 1
+                    if epochs_left[i]:
+                        still.append(i)
+                else:  # undo the step: keep theta[i], halve its rate
+                    lr[i, 0] /= 2.0
+                    # below this the cost is at a numerical floor: stop
+                    if lr[i, 0] >= 1e-15:
+                        still.append(i)
+            if len(accepted) == len(targets):
+                theta, grad = cand, new_grad
+            else:
+                for i in accepted:
+                    theta[i], grad[i] = cand[i], new_grad[i]
+            active = still
 
-    lr = cfg.learning_rate
-    cost, grads = cost_and_gradient(w1, b1, w2, b2, x, t, cfg.eta)
-    best = (val_rmse(w1, b1, w2, b2), w1.copy(), b1.copy(), w2.copy(), b2)
-    for _ in range(cfg.epochs):
-        while True:
-            n_w1 = w1 - lr * grads[0]
-            n_b1 = b1 - lr * grads[1]
-            n_w2 = w2 - lr * grads[2]
-            n_b2 = b2 - lr * grads[3]
-            new_cost, new_grads = cost_and_gradient(n_w1, n_b1, n_w2, n_b2, x, t, cfg.eta)
-            if not math.isfinite(new_cost):
-                raise ArithmeticError(
-                    f"training diverged (cost={new_cost}); lower learning_rate "
-                    f"(currently {lr})"
-                )
-            if new_cost <= cost:
-                break
-            lr /= 2.0
-            if lr < 1e-15:
-                break
-        if lr < 1e-15:  # cost is at a numerical floor; nothing left to learn
-            break
-        w1, b1, w2, b2 = n_w1, n_b1, n_w2, n_b2
-        cost, grads = new_cost, new_grads
-        rmse_now = val_rmse(w1, b1, w2, b2)
-        if rmse_now < best[0]:
-            best = (rmse_now, w1.copy(), b1.copy(), w2.copy(), b2)
-
-    _, w1, b1, w2, b2 = best
-    return Mlp(
-        input_weights=tuple(float(v) for v in w1),
-        input_biases=tuple(float(v) for v in b1),
-        output_weights=tuple(float(v) for v in w2),
-        output_bias=float(b2),
-        input_norm=(in_lo, in_hi),
-        output_norm=(out_lo, out_hi),
-    )
+    return [
+        Mlp(
+            input_weights=tuple(row[:j]),
+            input_biases=tuple(row[j:2 * j]),
+            output_weights=tuple(row[2 * j:3 * j]),
+            output_bias=row[3 * j],
+            input_norm=(in_lo, in_hi),
+            output_norm=(out_lo, out_hi),
+        )
+        for row, out_lo, out_hi in zip(best.tolist(), lo[:, 0].tolist(), hi[:, 0].tolist())
+    ]
 
 
 def rmse(mlp: Mlp, ds: FitDataset, target: str) -> float:
@@ -453,8 +530,8 @@ def train_pair(
     if spec is None:
         spec = FresnelSpec(wavelength_from_frequency(28e9))
     ds = build_dataset(env, spec, h_rx=h_rx, delta_h_grid=delta_h_grid, d_grid=d_grid)
-    cfg = cfg or TrainConfig()
-    return train(ds, "d1", cfg), train(ds, "d2", cfg), ds
+    mlp_d1, mlp_d2 = train(ds, ("d1", "d2"), cfg)
+    return mlp_d1, mlp_d2, ds
 
 
 def approx_vs_analytic_error(

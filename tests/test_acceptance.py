@@ -111,8 +111,7 @@ def test_criterion_4_approximate_model_quality():
     spec = FresnelSpec(WL28)
     ds = build_dataset(env, spec, h_rx=1.5)
     cfg = TrainConfig()
-    mlp_d1 = train(ds, "d1", cfg)
-    mlp_d2 = train(ds, "d2", cfg)
+    mlp_d1, mlp_d2 = train(ds, ("d1", "d2"), cfg)
     mse, max_abs = approx_vs_analytic_error(mlp_d1, mlp_d2, env, spec)
     elapsed = time.perf_counter() - t0
     ok = mse <= 0.03 and max_abs <= 0.12 and elapsed < 300.0

@@ -1,4 +1,6 @@
 import io
+import os
+import stat
 
 import pytest
 
@@ -200,6 +202,15 @@ class TestSimulateCommand:
         assert code == 1
         assert not dump.exists()
 
+    def test_failed_scene_dump_leaves_no_csv(self, tmp_path):
+        out = tmp_path / "r.csv"
+        code = main(["simulate", "--scenario", "urban", "--htx", "120", "--f-ghz", "28",
+                     "--d", "100", "--realizations", "1", "--links-per-ring", "8",
+                     "--dump-scene", str(tmp_path / "nodir" / "x.csv"), "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_elevation_mode(self, tmp_path):
         code, out = run_cli(
             ["simulate", "--scenario", "urban", "--htx", "120", "--hrx", "2",
@@ -324,6 +335,24 @@ class TestFitCommand:
         assert code == 1
         assert list((tmp_path / "m").iterdir()) == []
 
+    def test_failed_model_file_leaves_no_report(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["fit", "--scenario", "urban", "--f-ghz", "28",
+                     "--delta-h", "28.5:128.5:10", "--epochs", "20",
+                     "--out", "r.csv", "--out-prefix", "nodir/u"])
+        assert code == 1
+        assert not (tmp_path / "r.csv").exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("extra", [["--eta", "nan"], ["--eta", "inf"], ["--lr", "inf"]])
+    def test_non_finite_hyperparameters_are_usage_errors(self, tmp_path, extra):
+        out = tmp_path / "never.csv"
+        code = main(["fit", "--scenario", "urban", "--f-ghz", "28",
+                     "--delta-h", "28.5:128.5:10", "--epochs", "20",
+                     "--out-prefix", str(tmp_path / "u"), "--out", str(out)] + extra)
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_degenerate_dataset_fails_with_the_offending_height(self, tmp_path, capsys):
         # a transmitter this high never loses any link: nothing to fit
         code = main(["fit", "--scenario", "urban", "--f-ghz", "28",
@@ -338,3 +367,23 @@ class TestFitCommand:
                      "--f-ghz", "6", "--d", "1,2",
                      "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv")])
         assert code == 1
+
+
+class TestOutputFileMode:
+    def test_outputs_get_the_umask_permissions(self, tmp_path):
+        # under umask 027 a plain open() gives 0o640, where a bare
+        # temporary file would keep 0o600
+        previous = os.umask(0o027)
+        try:
+            fit_code = main(["fit", "--scenario", "urban", "--f-ghz", "28",
+                             "--delta-h", "28.5:128.5:10", "--epochs", "20",
+                             "--out-prefix", str(tmp_path / "u"), "--out", str(tmp_path / "fit.csv")])
+            sim_code = main(["simulate", "--scenario", "urban", "--htx", "120", "--f-ghz", "28",
+                             "--d", "100", "--realizations", "1", "--links-per-ring", "8",
+                             "--dump-scene", str(tmp_path / "scene.csv"),
+                             "--out", str(tmp_path / "sim.csv")])
+        finally:
+            os.umask(previous)
+        assert fit_code == 0 and sim_code == 0
+        for name in ("fit.csv", "u.d1.txt", "u.d2.txt", "sim.csv", "scene.csv"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o640, name

@@ -181,14 +181,14 @@ class TestTraining:
     def test_learns_a_linear_map(self):
         ds = make_dataset(linear_records(40))
         cfg = TrainConfig(epochs=6000, learning_rate=0.3, split_seed=7)
-        mlp = train(ds, "d1", cfg)
+        mlp = train(ds, ("d1",), cfg)[0]
         target_range = ds.column("d1").max() - ds.column("d1").min()
         assert rmse(mlp, ds, "d1") < 0.01 * target_range
 
     def test_heavy_regularization_flattens_predictions(self):
         ds = make_dataset(linear_records(40))
         cfg = TrainConfig(epochs=2000, learning_rate=0.3, eta=1e6, split_seed=7)
-        mlp = train(ds, "d1", cfg)
+        mlp = train(ds, ("d1",), cfg)[0]
         preds = [mlp_forward(mlp, r.delta_h) for r in ds.records]
         target_range = ds.column("d1").max() - ds.column("d1").min()
         assert max(preds) - min(preds) < 0.02 * target_range
@@ -196,13 +196,13 @@ class TestTraining:
     def test_absurd_learning_rate_survives_via_halving(self):
         ds = make_dataset(linear_records(20))
         cfg = TrainConfig(epochs=300, learning_rate=500.0, split_seed=3)
-        mlp = train(ds, "d1", cfg)
+        mlp = train(ds, ("d1",), cfg)[0]
         assert all(math.isfinite(w) for w in mlp.input_weights)
 
     def test_determinism(self):
         ds = make_dataset(linear_records(25))
         cfg = TrainConfig(epochs=500, split_seed=11)
-        assert train(ds, "d1", cfg) == train(ds, "d1", cfg)
+        assert train(ds, ("d1",), cfg)[0] == train(ds, ("d1",), cfg)[0]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -211,6 +211,12 @@ class TestTraining:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(eta=-0.1)
+
+    @pytest.mark.parametrize("bad", [dict(learning_rate=math.inf), dict(learning_rate=math.nan),
+                                     dict(eta=math.inf), dict(eta=math.nan)])
+    def test_non_finite_hyperparameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**bad)
 
 
 class TestRmse:
