@@ -1,9 +1,9 @@
 """Training pipeline for the parametric model's network-generated parameters.
 
 Stage 1 (:func:`build_dataset`): for a grid of height differences, fit the
-two-parameter model to the analytic LoS curve by exhaustive integer grid
-search over (D1, D2) followed by coordinate-descent refinement, yielding a
-(delta_h -> D1, D2) dataset.
+two-parameter model to the analytic LoS curve by least squares (exact in D1
+for each scanned D2, then refined in D2), all curves in one array
+computation, yielding a (delta_h -> D1, D2) dataset.
 
 Stage 2 (:func:`train`): train one small network per parameter on that
 dataset by full-batch gradient descent on a mean-square-error cost with an
@@ -17,31 +17,28 @@ step halving, stop and best epoch.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-# perfbench/tracing.py wraps p_los here by name.
+# perfbench/tracing.py wraps p_los and worker_count here by name.
 from .analytic import p_los, p_los_curve  # noqa: F401
 from .approx import ApproxParams, Mlp, mlp_forward, p_los_approx
 from .environment import Environment
 from .geometry import FresnelSpec, wavelength_from_frequency
-from .workers import worker_count
+from .workers import worker_count  # noqa: F401
 
 #: Fraction of records used for training in the random split.
 SPLIT_RATIO = 0.7
 
-#: Integer search grids for the per-curve (D1, D2) fit [m].
-D1_GRID = np.arange(1.0, 601.0)
-D2_GRID = np.arange(1.0, 2001.0)
-
-# Terminal pattern-search step; finer than the 0.01 m parameter resolution
-# the fits are reported at, which costs little and keeps shallow valleys
-# (weakly identified D2 at large D1) converging.
-_REFINE_TOL = 0.001
+#: D2 values the (D1, D2) fit scans [m]: every integer to 2,000 m (the SSE
+#: profile over D2 is rugged there), then a geometric tail to 1e6 m.
+_D2_SCAN = np.concatenate((np.arange(1.0, 2001.0), np.geomspace(2000.0, 1e6, 301)[1:]))
+_D2_CHUNK = 8  # D2 values per scan block: a few MB of temporaries
+# D2 refinement: nested scans of 17 points, each narrowing the bracket 8-fold
+_REFINE_POINTS, _REFINE_STAGES = 17, 10
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ class FitRecord:
 class FitDataset:
     """(delta_h -> D1, D2) records plus the configuration that produced them.
 
-    ``fit_sse``, when present, carries the refined per-record sum of squared
+    ``fit_sse``, when present, carries the per-record sum of squared
     residuals of the curve fits, aligned with ``records``.
     """
 
@@ -71,8 +68,8 @@ class FitDataset:
         if any(b <= a for a, b in zip(dhs, dhs[1:])):
             raise ValueError("delta_h values must be strictly increasing")
         for r in self.records:
-            if not (r.d1 > 0.0 and r.d2 > 0.0):
-                raise ValueError(f"non-positive parameter in record {r}")
+            if not (0.0 < r.d1 < math.inf and 0.0 < r.d2 < math.inf):
+                raise ValueError(f"D1 and D2 must be finite and positive, got {r}")
 
     def __len__(self) -> int:
         return len(self.records)
@@ -129,71 +126,75 @@ def default_d_grid() -> np.ndarray:
     return np.concatenate(([1.0], np.arange(10.0, 1001.0, 10.0)))
 
 
-def fit_parametric_curve(
-    d_grid: np.ndarray, p_curve: np.ndarray
-) -> tuple[float, float, float]:
-    """Least-squares (D1, D2) for one probability curve.
+def _profile(d, lo, y, flat, d2):
+    """Least-squares D1, and its SSE, at each D2 of ``d2`` (1 or C, m).
 
-    Exhaustive search on the integer grids D1_GRID x D2_GRID, then greedy
-    coordinate/pattern descent with step halving, refining well below the
-    0.01 m resolution the parameters are reported at.
-
-    Returns:
-        (d1, d2, sse) with sse the refined sum of squared residuals.
+    With ``d`` descending, on interval j (D1 in [lo_j, d_j] = [d_j+1, d_j])
+    the residual is 1 - y past d_j (``flat`` sums their squares) and D1 u + v
+    up to it, u = (1 - e)/d, v = e - y, e = exp(-d/D2): a quadratic in D1.
     """
-    d = np.asarray(d_grid, dtype=float)
-    y = np.asarray(p_curve, dtype=float)
-    order = np.argsort(d)
-    d, y = d[order], y[order]
+    x = d / d2[..., None]
+    e = np.exp(-x)
+    u = np.expm1(-x)
+    np.divide(u, -d, out=u, where=d > 0.0)  # at d = 0, u = 0: a flat residual
+    suu = np.cumsum(u * u, axis=-1)
+    # v formed, not expanded to e.e - 2 e.y + y.y, which cancels where e, y ~ 1
+    v = e - y[:, None, :]
+    suv = np.cumsum(u * v, axis=-1)
+    v *= v
+    sse = np.cumsum(v, axis=-1)
+    sse += flat[:, None, :]
+    d1 = np.divide(suv, suu)
+    np.negative(d1, out=d1)
+    np.maximum(d1, lo, out=d1)
+    np.minimum(d1, d, out=d1)
+    # SSE at the clipped minimiser: flat + sum(v^2) + D1 (D1 suu + 2 suv)
+    suv *= 2.0
+    suv += d1 * suu
+    suv *= d1
+    sse += suv
+    k = np.argmin(sse, axis=-1)[..., None]
+    return np.take_along_axis(sse, k, -1)[..., 0], np.take_along_axis(d1, k, -1)[..., 0]
 
-    # Residual per (D1, D2): A*(1-e) + (e-y) with A = min(D1/d, 1) and
-    # e = exp(-d/D2). Its squared sum expands into three matrix products,
-    # which evaluates the whole integer grid in a few GEMMs.
-    a = np.minimum(D1_GRID[:, None] / d[None, :], 1.0)  # (n_d1, n_d)
-    tail = np.exp(-d[None, :] / D2_GRID[:, None])  # (n_d2, n_d)
-    shrink = 1.0 - tail
-    offset = tail - y[None, :]
-    sse = (a * a) @ (shrink * shrink).T
-    sse += 2.0 * (a @ (shrink * offset).T)
-    sse += np.sum(offset * offset, axis=1)[None, :]
-    d1i, d2i = np.unravel_index(int(np.argmin(sse)), sse.shape)
-    best_d1 = float(D1_GRID[d1i])
-    best_d2 = float(D2_GRID[d2i])
-    best_sse = float(sse[d1i, d2i])
 
-    def sse_at(d1: float, d2: float) -> float:
-        tail = np.exp(-d / d2)
-        model = np.minimum(d1 / d, 1.0) * (1.0 - tail) + tail
-        r = model - y
-        return float(r @ r)
+def fit_parametric_curve(d_grid: np.ndarray, curves: np.ndarray):
+    """Least-squares (D1, D2) for one curve (n_d,) or a stack (C, n_d).
 
-    # Pattern search from the best grid point. Diagonal moves plus a
-    # slide in the last improving direction keep the descent moving along
-    # the correlated (D1, D2) valley instead of stalling on its wall.
-    moves = [(i, j) for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0) if i or j]
-    d1, d2, sse = best_d1, best_d2, best_sse
-    step = 1.0
-    while step >= _REFINE_TOL:
-        best_move = None
-        for dd1, dd2 in moves:
-            c1, c2 = d1 + step * dd1, d2 + step * dd2
-            if c1 <= 0.0 or c2 <= 0.0:
-                continue
-            cand = sse_at(c1, c2)
-            if cand < sse:
-                d1, d2, sse, best_move = c1, c2, cand, (dd1, dd2)
-        if best_move is None:
-            step /= 2.0
-            continue
-        while True:
-            c1, c2 = d1 + step * best_move[0], d2 + step * best_move[1]
-            if c1 <= 0.0 or c2 <= 0.0:
-                break
-            cand = sse_at(c1, c2)
-            if cand >= sse:
-                break
-            d1, d2, sse = c1, c2, cand
-    return d1, d2, sse
+    The best D1 is exact for each D2 of _D2_SCAN; the best D2 is refined in
+    its bracket, and kept only where no worse. Distances are >= 0, in any
+    order. Returns (d1, d2, sse), sse summed from the residuals at (d1, d2):
+    floats for one curve, arrays (C,) for a stack.
+    """
+    order = np.argsort(np.asarray(d_grid, dtype=float))[::-1]
+    d = np.asarray(d_grid, dtype=float)[order]
+    stack = np.asarray(curves, dtype=float)
+    y = np.atleast_2d(stack)[:, order]
+    lo = np.append(d[1:], 0.0)
+    flat = np.zeros_like(y)
+    flat[:, :-1] = np.cumsum(((1.0 - y) ** 2)[:, :0:-1], axis=1)[:, ::-1]
+
+    scan = [_profile(d, lo, y, flat, _D2_SCAN[None, s:s + _D2_CHUNK])
+            for s in range(0, _D2_SCAN.size, _D2_CHUNK)]
+    scan_sse, scan_d1 = (np.concatenate(part, axis=1) for part in zip(*scan))
+    rows = np.arange(len(y))
+    i = np.argmin(scan_sse, axis=1)
+    a, b = _D2_SCAN[np.clip([i - 1, i + 1], 0, _D2_SCAN.size - 1)]  # the bracket of i
+    steps = np.linspace(0.0, 1.0, _REFINE_POINTS)
+    for _ in range(_REFINE_STAGES):
+        grid = a[:, None] + (b - a)[:, None] * steps
+        ref_sse, ref_d1 = _profile(d, lo, y, flat, grid)
+        j = np.argmin(ref_sse, axis=1)
+        a, b = grid[rows, np.clip([j - 1, j + 1], 0, _REFINE_POINTS - 1)]
+    # (scanned, refined) x curves, each SSE summed from its residuals
+    d1 = np.stack([scan_d1[rows, i], ref_d1[rows, j]])
+    d2 = np.stack([_D2_SCAN[i], grid[rows, j]])
+    tail = np.exp(-d / d2[..., None])
+    r = d1[..., None] / np.maximum(d, d1[..., None]) * (1.0 - tail) + tail - y
+    sse = np.sum(r * r, axis=-1)
+    pick = (sse[1] <= sse[0]).astype(int), rows
+    if stack.ndim == 1:
+        return float(d1[pick][0]), float(d2[pick][0]), float(sse[pick][0])
+    return d1[pick], d2[pick], sse[pick]
 
 
 def build_dataset(
@@ -205,8 +206,10 @@ def build_dataset(
 ) -> FitDataset:
     """Fit (D1, D2) against the analytic model for each height difference.
 
-    Height differences whose analytic curve never leaves 1 on the grid have
-    no decay to fit and are recorded as rejected with a diagnostic.
+    All curves are fitted in one call. Rejected with a diagnostic, giving no
+    record: a curve identically 1 on the grid (no decay), a fitted D1 of 0 (a
+    pure exponential) and a D1 with under two grid distances beyond it (D2
+    then trades off freely).
     """
     dhs = np.sort(np.asarray(
         default_delta_h_grid() if delta_h_grid is None else delta_h_grid,
@@ -216,31 +219,29 @@ def build_dataset(
         raise ValueError("delta_h grid is empty")
     if np.any(np.diff(dhs) <= 0.0):
         raise ValueError("delta_h grid has duplicate values")
-    d = np.sort(np.asarray(
-        default_d_grid() if d_grid is None else d_grid, dtype=float
-    ))
+    d = np.asarray(default_d_grid() if d_grid is None else d_grid, dtype=float)
     if d.size == 0:
         raise ValueError("distance grid is empty")
 
     curves = p_los_curve(h_rx + dhs[:, None], h_rx, d, env, spec)
-
-    def fit_one(curve: np.ndarray) -> tuple[float, float, float] | str:
-        if np.all(curve >= 1.0):
-            return "analytic curve is identically 1 on the distance grid"
-        return fit_parametric_curve(d, curve)
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(fit_one, curves))
-
-    records = []
-    rejected = []
-    sses = []
-    for delta_h, res in zip(dhs, results):
-        if isinstance(res, str):
-            rejected.append((float(delta_h), res))
+    flat = np.all(curves >= 1.0, axis=1)
+    d1, d2, sse = fit_parametric_curve(d, curves[~flat])
+    beyond = np.sum(d > d1[:, None], axis=1)
+    fitted = zip(d1.tolist(), d2.tolist(), sse.tolist(), beyond.tolist())
+    records, rejected, sses = [], [], []
+    for delta_h, is_flat in zip(dhs.tolist(), flat.tolist()):
+        p1, p2, res, n_beyond = (0.0, 0.0, 0.0, 0) if is_flat else next(fitted)
+        if is_flat:
+            reason = "analytic curve is identically 1 on the distance grid"
+        elif not p1 > 0.0:
+            reason = "D1 is not identified: the least-squares D1 is 0, a pure exponential decay"
+        elif n_beyond < 2:
+            reason = f"D2 is not identified: {n_beyond} grid distance(s) beyond the fitted D1={p1!r}"
         else:
-            records.append(FitRecord(float(delta_h), res[0], res[1]))
-            sses.append(res[2])
+            records.append(FitRecord(delta_h, p1, p2))
+            sses.append(res)
+            continue
+        rejected.append((delta_h, reason))
     return FitDataset(
         records=tuple(records),
         env=env,

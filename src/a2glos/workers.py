@@ -1,9 +1,8 @@
-"""Worker-count policy shared by the parallel loops.
+"""Worker-count policy of the Monte-Carlo estimator's realization pool.
 
 The A2G_LOS_THREADS environment variable caps the number of workers;
-0 or unset means automatic (one per CPU). Results of every parallel loop
-in this package are combined in input order, so the worker count never
-affects outputs.
+0 or unset means automatic (one per CPU). Results are combined in input
+order, so the worker count never affects outputs.
 """
 
 from __future__ import annotations

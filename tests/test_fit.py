@@ -66,6 +66,17 @@ class TestCurveFit:
         shuffled = fit_parametric_curve(d[perm], curve[perm])
         assert shuffled == ref
 
+    def test_zero_distance_is_a_flat_point(self):
+        # P = 1 at d = 0 for every D1 > 0: the point adds a constant
+        d = np.concatenate(([0.0, 1.0], np.arange(10.0, 1001.0, 10.0)))
+        truth = ApproxParams(50.0, 200.0)
+        curve = np.array([p_los_approx(x, truth) for x in d])
+        with np.errstate(divide="raise", invalid="raise"):
+            d1, d2, sse = fit_parametric_curve(d, curve)
+        assert d1 == pytest.approx(50.0, abs=0.1)
+        assert d2 == pytest.approx(200.0, abs=0.1)
+        assert sse < 1e-10
+
 
 class TestBuildDataset:
     def test_small_build_and_provenance(self):
@@ -95,6 +106,15 @@ class TestBuildDataset:
         dh, reason = ds.rejected[0]
         assert dh == 1e6
         assert "identically 1" in reason
+
+    def test_zero_breakpoint_is_rejected_with_diagnostic(self):
+        # seen only from 500 m on, the 68.5 m curve is best fitted by a pure
+        # exponential: the least-squares D1 is 0, which no record can hold
+        ds = build_dataset(URBAN, SPEC28, delta_h_grid=[48.5, 68.5],
+                           d_grid=np.arange(500.0, 1001.0, 10.0))
+        assert [r.delta_h for r in ds.records] == [48.5]
+        assert ds.rejected == ((68.5, "D1 is not identified: the least-squares D1 is 0, "
+                                      "a pure exponential decay"),)
 
     def test_empty_grid_errors(self):
         with pytest.raises(ValueError):
@@ -325,6 +345,16 @@ class TestDatasetFile:
         path = tmp_path / "bare.csv"
         path.write_text("delta_h,d1,d2\n10.0,5.0,20.0\n")
         with pytest.raises(ValueError, match="alpha"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("d1, d2", [("5.0", "inf"), ("inf", "20.0"), ("nan", "20.0")])
+    def test_non_finite_parameter_is_an_error(self, tmp_path, d1, d2):
+        from a2glos.fit import load_dataset
+
+        path = tmp_path / "bad.csv"
+        path.write_text("# alpha=0.3 beta=500.0 gamma=15.0 lambda=0.0107\n"
+                        f"delta_h,d1,d2\n10.0,5.0,20.0\n20.0,{d1},{d2}\n")
+        with pytest.raises(ValueError, match=r"finite and positive.*delta_h=20\.0"):
             load_dataset(path)
 
 
