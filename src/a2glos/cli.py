@@ -48,6 +48,7 @@ from .rt_sim import (
     dump_scene_csv,
     estimate_p_los,
     realization_scene,
+    scene_csv_lines,
     synthesize_scene,
 )
 
@@ -380,11 +381,7 @@ def cmd_scene(args) -> tuple[list[str], Files]:
             "buildings": len(scene),
         },
     )
-    lines.append(f"# extent={scene.extent!r} seed={scene.seed}")
-    lines.append("center_x,center_y,width,height")
-    for b in scene.buildings:
-        lines.append(f"{_fmt(b.center_x)},{_fmt(b.center_y)},{_fmt(b.width)},{_fmt(b.height)}")
-    return lines, []
+    return lines + scene_csv_lines(scene), []
 
 
 def _add_env_args(p: argparse.ArgumentParser) -> None:
@@ -436,43 +433,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="report CSV path (default stdout)")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("simulate", help="ray-tracing Monte-Carlo estimate")
-    _add_env_args(p)
-    _add_freq_args(p)
-    p.add_argument("--htx", type=float, required=True)
-    p.add_argument("--hrx", type=float, default=2.0)
-    p.add_argument("--d", default="50:1000:50", help="ring radius grid [m]")
-    p.add_argument("--elevation", help="elevation-angle grid [deg] instead of --d")
-    p.add_argument("--realizations", type=int, default=5)
-    p.add_argument("--links-per-ring", type=int, default=72)
-    p.add_argument("--extent", type=float, help="scene side [m] (default 2*max(d)+100)")
-    p.add_argument("--layout", choices=("grid", "uniform"), default="grid")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--dump-scene", help="also write the scene of realization 0 as CSV here")
-    p.add_argument("--out", help="output CSV path (default stdout)")
-    p.set_defaults(func=cmd_simulate)
+    simulate = sub.add_parser("simulate", help="ray-tracing Monte-Carlo estimate")
+    compare = sub.add_parser("compare", help="overlay simulation with model predictions")
+    for p in (simulate, compare):
+        _add_env_args(p)
+        _add_freq_args(p)
+        p.add_argument("--htx", type=float, required=True)
+        p.add_argument("--hrx", type=float, default=2.0)
+        p.add_argument("--d", default="50:1000:50", help="ring radius grid [m]")
+        p.add_argument("--elevation", help="elevation-angle grid [deg] instead of --d")
+        p.add_argument("--realizations", type=int, default=5)
+        p.add_argument("--links-per-ring", type=int, default=72)
+        p.add_argument("--extent", type=float, help="scene side [m] (default 2*max(d)+100)")
+        p.add_argument("--layout", choices=("grid", "uniform"), default="grid")
+        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--out", help="output CSV path (default stdout)")
+    simulate.add_argument("--dump-scene", help="also write the scene of realization 0 as CSV here")
+    simulate.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", help="overlay simulation with model predictions")
-    _add_env_args(p)
-    _add_freq_args(p)
-    p.add_argument("--htx", type=float, required=True)
-    p.add_argument("--hrx", type=float, default=2.0)
-    p.add_argument("--d", default="50:1000:50")
-    p.add_argument("--elevation", help="elevation-angle grid [deg] instead of --d")
-    p.add_argument("--realizations", type=int, default=5)
-    p.add_argument("--links-per-ring", type=int, default=72)
-    p.add_argument("--extent", type=float)
-    p.add_argument("--layout", choices=("grid", "uniform"), default="grid")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
+    compare.add_argument(
         "--models",
         default="analytic,approx-3gpp,approx-5gcm",
         help=f"comma list from {', '.join(_KNOWN_MODELS)}",
     )
-    p.add_argument("--d1-model", help="breakpoint-parameter model file for approx-retrained")
-    p.add_argument("--d2-model", help="decay-parameter model file for approx-retrained")
-    p.add_argument("--out", help="output CSV path (default stdout)")
-    p.set_defaults(func=cmd_compare)
+    compare.add_argument("--d1-model", help="breakpoint-parameter model file for approx-retrained")
+    compare.add_argument("--d2-model", help="decay-parameter model file for approx-retrained")
+    compare.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("scene", help="synthesize a city scene and dump it as CSV")
     _add_env_args(p)

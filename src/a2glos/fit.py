@@ -208,8 +208,8 @@ def build_dataset(
 
     All curves are fitted in one call. Rejected with a diagnostic, giving no
     record: a curve identically 1 on the grid (no decay), a fitted D1 of 0 (a
-    pure exponential) and a D1 with under two grid distances beyond it (D2
-    then trades off freely).
+    pure exponential), a D1 with under two grid distances beyond it (D2
+    then trades off freely) and a D2 in the last step of its scan.
     """
     dhs = np.sort(np.asarray(
         default_delta_h_grid() if delta_h_grid is None else delta_h_grid,
@@ -237,6 +237,8 @@ def build_dataset(
             reason = "D1 is not identified: the least-squares D1 is 0, a pure exponential decay"
         elif n_beyond < 2:
             reason = f"D2 is not identified: {n_beyond} grid distance(s) beyond the fitted D1={p1!r}"
+        elif p2 > _D2_SCAN[-2]:
+            reason = f"D2 is not identified: the fitted D2={p2!r} is at the {_D2_SCAN[-1]:.0f} m end of the scan"
         else:
             records.append(FitRecord(delta_h, p1, p2))
             sses.append(res)

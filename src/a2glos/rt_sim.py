@@ -11,16 +11,18 @@ blockage.
 Blockage tests are exact: Moller-Trumbore for ray/triangle hits, and for
 the clearance test an affine map takes the ellipsoid to the unit sphere
 where triangle/sphere overlap reduces to a point-triangle distance. The
-per-link predicates cull buildings by a bounding-circle check only; they
-are the reference for the Monte-Carlo estimator, which culls harder and
-tests many links per array batch (see `estimate_p_los`).
+per-link predicates cull buildings by a bounding-circle check only and
+test the scene's full mesh; they are the reference for the Monte-Carlo
+estimator, which culls harder, over every azimuth at once, and
+triangulates only the buildings left for its batched exact test (see
+`estimate_p_los`).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -28,12 +30,14 @@ import numpy as np
 
 from .environment import Environment, mean_width
 from .geometry import FresnelSpec, fresnel_axes
-from .workers import worker_count
+# perfbench/tracing.py wraps worker_count here by name; the estimator has no pool.
+from .workers import worker_count  # noqa: F401
 
 _DET_EPS = 1e-12  # ray parallel to triangle plane below this determinant
 _CULL_MARGIN = 0.5  # [m] slack of the building culls around the clearance zone
 _SEGMENT_CLEARANCE = 1e-9  # [m] bounding-circle slack of the segment test
 _BATCH_PAIRS = 256  # (link, building) pairs per batched exact test
+_CULL_ELEMENTS = 1 << 14  # (building, azimuth) pairs per cull block: 128 KiB per float64 temporary
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -57,10 +61,14 @@ class Building:
     height: float
 
     def __post_init__(self) -> None:
-        if not self.width > 0.0:
-            raise ValueError(f"width must be > 0, got {self.width}")
-        if not self.height > 0.0:
-            raise ValueError(f"height must be > 0, got {self.height}")
+        _check_boxes(np.array([self.width]), np.array([self.height]))
+
+
+def _check_boxes(widths: np.ndarray, heights: np.ndarray) -> None:
+    for name, values in (("width", widths), ("height", heights)):
+        bad = ~(values > 0.0)
+        if bad.any():
+            raise ValueError(f"{name} must be > 0, got {values[bad][0]}")
 
 
 @dataclass(frozen=True)
@@ -88,33 +96,51 @@ class Ray:
 
 
 class Scene:
-    """Synthesized city: buildings plus their triangulated mesh.
+    """Synthesized city as arrays: building centres (n, 2), footprint widths
+    and heights (n,), plus the scene side and seed.
 
-    Triangle array layout: 10 consecutive triangles per building, in
-    building order, shape (10 * n_buildings, 3, 3).
+    `buildings` and the mesh `triangles` are derived on first use. The mesh
+    has 10 consecutive triangles per building, in building order, shape
+    (10 * n_buildings, 3, 3).
     """
 
     def __init__(self, buildings: Sequence[Building], extent: float, seed: int):
-        self.buildings: tuple[Building, ...] = tuple(buildings)
+        table = np.array([(b.center_x, b.center_y, b.width, b.height) for b in buildings], dtype=float)
+        table = table.reshape(-1, 4)
+        self._init(table[:, :2], table[:, 2], table[:, 3], extent, seed)
+
+    @classmethod
+    def from_arrays(
+        cls, centers: np.ndarray, widths: np.ndarray, heights: np.ndarray, extent: float, seed: int
+    ) -> Scene:
+        scene = cls.__new__(cls)
+        scene._init(centers, widths, heights, extent, seed)
+        return scene
+
+    def _init(self, centers, widths, heights, extent, seed) -> None:
+        self._widths = np.asarray(widths, dtype=float)
+        self._heights = np.asarray(heights, dtype=float)
+        _check_boxes(self._widths, self._heights)
+        self._centers = np.asarray(centers, dtype=float).reshape(len(self._widths), 2)
         self.extent = float(extent)
         self.seed = int(seed)
-        n = len(self.buildings)
-        self._centers = np.array(
-            [(b.center_x, b.center_y) for b in self.buildings], dtype=float
-        ).reshape(n, 2)
-        self._widths = np.array([b.width for b in self.buildings], dtype=float)
-        self._heights = np.array([b.height for b in self.buildings], dtype=float)
-        self.triangles = _triangulate(self._centers, self._widths, self._heights)
+
+    @cached_property
+    def buildings(self) -> tuple[Building, ...]:
+        columns = (self._centers[:, 0], self._centers[:, 1], self._widths, self._heights)
+        return tuple(map(Building, *(c.tolist() for c in columns)))
+
+    @cached_property
+    def triangles(self) -> np.ndarray:
+        return _triangulate(self._centers, self._widths, self._heights)
 
     def __len__(self) -> int:
-        return len(self.buildings)
+        return len(self._widths)
 
 
 def _triangulate(centers: np.ndarray, widths: np.ndarray, heights: np.ndarray) -> np.ndarray:
     """Mesh all buildings: 4 walls (2 triangles each) plus a 2-triangle roof."""
     n = len(widths)
-    if n == 0:
-        return np.zeros((0, 3, 3))
     half = widths / 2.0
     x0, x1 = centers[:, 0] - half, centers[:, 0] + half
     y0, y1 = centers[:, 1] - half, centers[:, 1] + half
@@ -204,20 +230,20 @@ def synthesize_scene(
     else:
         raise ValueError(f"layout must be 'grid' or 'uniform', got {layout!r}")
     heights = sample_heights(env.gamma, len(centers), rng)
-    buildings = [
-        Building(float(cx), float(cy), width, float(h))
-        for (cx, cy), h in zip(centers, heights)
-    ]
-    return Scene(buildings, extent, seed)
+    return Scene.from_arrays(centers, np.full(len(centers), width), heights, extent, seed)
+
+
+def scene_csv_lines(scene: Scene) -> list[str]:
+    """A provenance header and `center_x,center_y,width,height` rows."""
+    columns = (scene._centers[:, 0], scene._centers[:, 1], scene._widths, scene._heights)
+    rows = zip(*(map(repr, c.tolist()) for c in columns))
+    header = [f"# extent={scene.extent!r} seed={scene.seed}", "center_x,center_y,width,height"]
+    return header + [",".join(row) for row in rows]
 
 
 def dump_scene_csv(scene: Scene, path: str | Path | IO[str]) -> None:
-    """Write `center_x,center_y,width,height` rows with a provenance header."""
-    lines = [f"# extent={scene.extent!r} seed={scene.seed}"]
-    lines.append("center_x,center_y,width,height")
-    for b in scene.buildings:
-        lines.append(f"{b.center_x!r},{b.center_y!r},{b.width!r},{b.height!r}")
-    text = "\n".join(lines) + "\n"
+    """Write `scene_csv_lines` to a path or an open text file."""
+    text = "\n".join(scene_csv_lines(scene)) + "\n"
     if hasattr(path, "write"):
         path.write(text)
     else:
@@ -454,10 +480,9 @@ def _link_fan(
     tx = np.array([0.0, 0.0, h_tx])
     delta = rx - tx
     length = np.linalg.norm(delta, axis=2)
-    axes = [fresnel_axes(spec, float(sep)) for sep in length.ravel()]
-    semi_axes = np.array([(a.x_semi, a.y_semi, a.z_semi) for a in axes])
-    semi_axes = semi_axes.reshape(length.shape + (3,))
-    x_semi = semi_axes[..., 0]
+    n_lambda_d = spec.order * spec.wavelength * length  # fresnel_axes over the whole fan
+    x_semi = np.sqrt(n_lambda_d) / 2.0
+    semi_axes = np.stack([x_semi, np.sqrt(n_lambda_d / 4.0 + length * length / 4.0), x_semi], axis=-1)
     geometric = spec.wavelength == 0.0
     clearance = (
         np.full_like(length, _SEGMENT_CLEARANCE) if geometric else x_semi + _CULL_MARGIN
@@ -480,12 +505,12 @@ def _link_fan(
     )
 
 
-def _azimuth_candidates(
-    scene: Scene, fan: _LinkFan, k: int
+def _fan_candidates(
+    scene: Scene, fan: _LinkFan
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Valid receivers at azimuth ``k`` and the (ring, building) pairs that
-    survive the culls, which only drop buildings that cannot touch a link's
-    clearance zone:
+    """Valid receivers, shape (K, R), and the (link, building) pairs that
+    survive the culls, ``link`` indexing the flattened fan. The culls only
+    drop buildings that cannot touch a link's clearance zone:
 
     1. corridor: buildings whose bounding circle comes within the largest
        clearance of the rectangle around the longest ring's ground track;
@@ -497,44 +522,46 @@ def _azimuth_candidates(
        the underside lies ``drop`` = clearance / cos(elevation) below the
        axis, and the axis height is linear along the track, so the lowest
        point over the span is at one of its ends.
+
+    Cull 1 runs on (building, azimuth) pairs, the others on (pair, ring)
+    masks, over blocks of azimuths of at most ``_CULL_ELEMENTS`` pairs.
     """
-    rx = fan.rx[k]
-    none = np.zeros(0, dtype=np.intp)
+    n_az, n_rings = fan.ground.shape
     radius = scene._widths * (math.sqrt(2.0) / 2.0)
-    ux, uy = fan.unit[k]
-    along = scene._centers @ fan.unit[k]
-    reach = radius + fan.corridor[k]
-    near = np.nonzero(
-        (np.abs(scene._centers @ np.array([-uy, ux])) <= reach)
-        & (along >= -reach)
-        & (along <= fan.ground[k].max() + reach)
-    )[0]
-    along = along[near]
-    centers = scene._centers[near]
-    radius = radius[near]
-    half_w = scene._widths[near] / 2.0
-    valid = ~(
-        (np.abs(rx[:, 0][:, None] - centers[:, 0]) <= half_w)
-        & (np.abs(rx[:, 1][:, None] - centers[:, 1]) <= half_w)
-    ).any(axis=1)
-    links = np.nonzero(valid)[0]
-    if near.size == 0 or links.size == 0:
-        return valid, none, none
+    half_w = scene._widths / 2.0
+    valid = np.ones((n_az, n_rings), dtype=bool)
+    link, building = [], []
+    step = max(1, _CULL_ELEMENTS // max(len(scene), 1))
+    for start in range(0, n_az, step):
+        block = slice(start, start + step)
+        ux, uy = fan.unit[block].T
+        along = scene._centers @ fan.unit[block].T  # (N, B)
+        across = scene._centers @ np.stack([-uy, ux])
+        reach = radius[:, None] + fan.corridor[block]
+        b, k = np.nonzero(
+            (np.abs(across) <= reach) & (along >= -reach)
+            & (along <= fan.ground[block].max(axis=1) + reach)
+        )
+        along = along[b, k][:, None]
+        k += start
+        cx, cy = scene._centers[b].T[..., None]
+        r, hw = radius[b, None], half_w[b, None]
+        rx = fan.rx[k]  # (P, R, 3)
+        pair, ring = np.nonzero(
+            (np.abs(rx[..., 0] - cx) <= hw) & (np.abs(rx[..., 1] - cy) <= hw)
+        )
+        valid[k[pair], ring] = False
 
-    seg = rx[links, :2]  # (L, 2) ground tracks from the origin
-    t = np.clip((seg @ centers.T) / np.sum(seg * seg, axis=1)[:, None], 0.0, 1.0)
-    gap = np.hypot(
-        centers[:, 0] - t * seg[:, 0][:, None], centers[:, 1] - t * seg[:, 1][:, None]
-    )
-    keep = gap <= radius + fan.clearance[k, links][:, None]
-
-    slope = (fan.tx[2] - rx[links, 2])[:, None] / fan.ground[k, links][:, None]
-    dip = np.maximum((along - radius) * slope, (along + radius) * slope)
-    floor = fan.tx[2] - dip - fan.drop[k, links][:, None]
-    keep &= scene._heights[near] >= floor
-
-    pair_link, pair_building = np.nonzero(keep)
-    return valid, links[pair_link], near[pair_building]
+        t = np.clip(along / fan.ground[k], 0.0, 1.0)
+        keep = valid[k] & (np.hypot(cx - t * rx[..., 0], cy - t * rx[..., 1])
+                           <= r + fan.clearance[k])
+        slope = (fan.tx[2] - rx[..., 2]) / fan.ground[k]
+        dip = np.maximum((along - r) * slope, (along + r) * slope)
+        keep &= scene._heights[b, None] >= fan.tx[2] - dip - fan.drop[k]
+        pair, ring = np.nonzero(keep)
+        link.append(k[pair] * n_rings + ring)
+        building.append(b[pair])
+    return valid, np.concatenate(link), np.concatenate(building)
 
 
 def _pairs_blocked(
@@ -542,7 +569,7 @@ def _pairs_blocked(
 ) -> np.ndarray:
     """Whether each building touches its link's clearance zone (or, at zero
     wavelength, cuts its segment); ``link`` indexes the flattened fan."""
-    tris = scene.triangles[(building[:, None] * 10 + np.arange(10)).ravel()]
+    tris = _triangulate(scene._centers[building], scene._widths[building], scene._heights[building])
     row_link = np.repeat(link, 10)
     if fan.geometric:
         axial = fan.frame.reshape(-1, 3, 3)[row_link, 1]
@@ -561,24 +588,15 @@ def _pairs_blocked(
 def _scene_verdicts(scene: Scene, fan: _LinkFan) -> tuple[np.ndarray, np.ndarray]:
     """Valid receivers and blocked links of the whole fan, shape (K, R).
 
-    Culls run one azimuth at a time; the surviving pairs then go through
-    the exact test in batches of at most ``_BATCH_PAIRS``, which bounds
-    its temporaries.
+    The pairs that survive the culls go through the exact test in batches
+    of at most ``_BATCH_PAIRS``, which bounds its temporaries.
     """
-    n_rings = fan.length.shape[1]
-    valid, link, building = [], [], []
-    for k in range(len(fan.unit)):
-        ok, ring, near = _azimuth_candidates(scene, fan, k)
-        valid.append(ok)
-        link.append(k * n_rings + ring)
-        building.append(near)
-    link = np.concatenate(link)
-    building = np.concatenate(building)
+    valid, link, building = _fan_candidates(scene, fan)
     blocked = np.zeros(fan.length.size, dtype=bool)
     for start in range(0, link.size, _BATCH_PAIRS):
         batch = slice(start, start + _BATCH_PAIRS)
         blocked[link[batch][_pairs_blocked(scene, fan, link[batch], building[batch])]] = True
-    return np.array(valid), blocked.reshape(fan.length.shape)
+    return valid, blocked.reshape(fan.length.shape)
 
 
 def realization_scene(
@@ -616,18 +634,16 @@ def estimate_p_los(
     triangles.
 
     The receivers of one azimuth share a ground corridor from the scene
-    center, so a scene is evaluated one azimuth at a time: buildings are
-    culled once against the corridor of the longest ring, then per link by
-    bounding circle and by roof height (a roof below the cylinder that
-    encloses the clearance zone cannot touch it). The surviving (link,
-    building) pairs of consecutive azimuths go through the exact test in
-    array batches. The verdicts are those of `los_blocked_fresnel` on each
-    link.
+    center. Buildings are culled against the corridor of the longest ring,
+    for all azimuths in a few array blocks, then per link by bounding
+    circle and by roof height (a roof below the cylinder that encloses the
+    clearance zone cannot touch it). Only the buildings of the surviving
+    (link, building) pairs are triangulated, and the pairs go through the
+    exact test in array batches. The verdicts are those of
+    `los_blocked_fresnel` on each link.
 
     The default extent, 2*max(d) + 100 m, keeps every ring inside the
-    city. Realizations run in parallel (see A2G_LOS_THREADS) and are
-    reduced in realization order, so results do not depend on the worker
-    count.
+    city. Realizations run one after another in the calling thread.
     """
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
@@ -645,17 +661,13 @@ def estimate_p_los(
             f"ring radius {max(distances)} m exceeds half the extent ({extent / 2.0} m)"
         )
     fan = _link_fan(spec, h_tx, h_rx, distances, links_per_ring)
-
-    def one_realization(r: int) -> tuple[np.ndarray, np.ndarray]:
+    clear = np.zeros(len(distances), dtype=np.int64)
+    valid = np.zeros(len(distances), dtype=np.int64)
+    for r in range(realizations):
         scene = realization_scene(env, extent, seed, r, layout=layout)
-        valid, blocked = _scene_verdicts(scene, fan)
-        return np.sum(valid & ~blocked, axis=0), np.sum(valid, axis=0)
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(one_realization, range(realizations)))
-
-    clear = np.sum([r[0] for r in results], axis=0)
-    valid = np.sum([r[1] for r in results], axis=0)
+        ok, blocked = _scene_verdicts(scene, fan)
+        clear += np.sum(ok & ~blocked, axis=0)
+        valid += np.sum(ok, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         p = np.where(valid > 0, clear / np.maximum(valid, 1), np.nan)
         ci = np.where(

@@ -1,8 +1,8 @@
-"""Worker-count policy of the Monte-Carlo estimator's realization pool.
+"""Worker-count policy, left from the Monte-Carlo estimator's old pool.
 
-The A2G_LOS_THREADS environment variable caps the number of workers;
-0 or unset means automatic (one per CPU). Results are combined in input
-order, so the worker count never affects outputs.
+No code runs a pool now: `rt_sim` and `fit` import `worker_count` only for
+the benchmark's tracer, which wraps it there by name, until ROADMAP item 1
+drops those wraps. A2G_LOS_THREADS caps the count; 0 or unset means one per CPU.
 """
 
 from __future__ import annotations

@@ -29,6 +29,9 @@ PRESETS = ("urban", "suburban", "dense-urban", "high-rise")
 # suburban at 28 GHz: from here up the fitted D1 leaves at most one grid
 # distance beyond it
 SUBURBAN_UNIDENTIFIED = [668.5 + 10.0 * k for k in range(34)]
+# suburban at 28 GHz: below those, the SSE still falls at the 1e6 m end of
+# the D2 scan
+SUBURBAN_D2_AT_SCAN_END = [588.5 + 10.0 * k for k in range(8)]
 
 
 @pytest.fixture(scope="module")
@@ -82,13 +85,18 @@ def test_rugged_profiles_at_2_4_ghz(preset, delta_h):
 def test_unidentified_curves_are_rejected(fits, tmp_path):
     curves, ds, _ = fits["suburban"]
     d = default_d_grid()
-    d1, _, _ = fit_parametric_curve(d, curves)
+    d1, d2, _ = fit_parametric_curve(d, curves)
     beyond = np.sum(d > d1[:, None], axis=1)
-    unidentified = default_delta_h_grid()[beyond < 2].tolist()
-    assert unidentified == SUBURBAN_UNIDENTIFIED
+    at_end = (beyond >= 2) & (d2 > 0.99e6)
+    assert default_delta_h_grid()[beyond < 2].tolist() == SUBURBAN_UNIDENTIFIED
+    assert default_delta_h_grid()[at_end].tolist() == SUBURBAN_D2_AT_SCAN_END
+    assert np.all(np.abs(d2[at_end] - 1e6) < 1e-5)
+    unidentified = SUBURBAN_D2_AT_SCAN_END + SUBURBAN_UNIDENTIFIED
     assert [dh for dh, _ in ds.rejected] == unidentified
     assert all(reason.startswith("D2 is not identified") for _, reason in ds.rejected)
-    assert [r.delta_h for r in ds.records] == default_delta_h_grid()[beyond >= 2].tolist()
+    assert all("end of the scan" in reason for _, reason in ds.rejected[:8])
+    assert [r.delta_h for r in ds.records] == default_delta_h_grid()[(beyond >= 2) & ~at_end].tolist()
+    assert max(r.d2 for r in ds.records) < 0.9e6
 
     out = tmp_path / "report.csv"
     assert main(["fit", "--scenario", "suburban", "--f-ghz", "28", "--epochs", "20",

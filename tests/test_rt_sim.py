@@ -1,17 +1,26 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import cull_reference
+from a2glos import rt_sim
 from a2glos.environment import Environment, get_scenario
-from a2glos.geometry import FresnelSpec, LinkGeometry, allowed_height, wavelength_from_frequency
+from a2glos.geometry import (
+    FresnelSpec,
+    LinkGeometry,
+    allowed_height,
+    fresnel_axes,
+    wavelength_from_frequency,
+)
 from a2glos.rt_sim import (
     Building,
     Ray,
     Scene,
     Triangle,
-    _azimuth_candidates,
     _candidate_triangles,
+    _fan_candidates,
     _link_fan,
     _mt_batch,
     _point_triangle_dist_sq,
@@ -25,6 +34,7 @@ from a2glos.rt_sim import (
     ray_triangle_intersect,
     realization_scene,
     sample_heights,
+    scene_csv_lines,
     synthesize_scene,
 )
 
@@ -129,6 +139,40 @@ class TestSceneSynthesis:
         assert lines[0].startswith("# extent=")
         assert lines[1] == "center_x,center_y,width,height"
         assert len(lines) == 2 + len(scene)
+        assert lines == scene_csv_lines(scene)
+        assert lines[2:] == [f"{b.center_x!r},{b.center_y!r},{b.width!r},{b.height!r}"
+                             for b in scene.buildings]
+
+
+class TestSceneArrays:
+    @pytest.mark.parametrize("layout", ["grid", "uniform"])
+    def test_hand_built_scene_equals_the_array_path(self, layout):
+        built = synthesize_scene(get_scenario("high-rise").env, 500.0, seed=6, layout=layout)
+        assert "triangles" not in vars(built)  # the mesh is built on first use
+        hand = Scene(built.buildings, built.extent, built.seed)
+        for name in ("_centers", "_widths", "_heights"):
+            assert np.array_equal(getattr(hand, name), getattr(built, name))
+            assert getattr(hand, name).dtype == float
+        assert hand.buildings == built.buildings
+        assert all(type(v) is float for b in built.buildings for v in vars(b).values())
+        assert (hand.extent, hand.seed, len(hand)) == (built.extent, built.seed, len(built))
+        assert np.array_equal(hand.triangles, built.triangles)
+        assert built.triangles.shape == (10 * len(built), 3, 3)
+
+    @pytest.mark.parametrize("widths, heights", [
+        ([20.0, 0.0], [5.0, 5.0]),
+        ([20.0, 20.0], [5.0, 0.0]),
+        ([20.0, -1.0], [5.0, 5.0]),
+        ([20.0, 20.0], [np.nan, 5.0]),
+    ])
+    def test_array_path_rejects_degenerate_boxes(self, widths, heights):
+        with pytest.raises(ValueError, match="must be > 0"):
+            Scene.from_arrays(np.zeros((2, 2)), np.array(widths), np.array(heights), 100.0, 0)
+
+    def test_empty_scene(self):
+        scene = Scene([], extent=100.0, seed=0)
+        assert len(scene) == 0 and scene.buildings == ()
+        assert scene.triangles.shape == (0, 3, 3)
 
 
 class TestRayTriangle:
@@ -278,6 +322,22 @@ class TestEstimate:
         assert np.all(est.p_los == 1.0)
         assert np.all(est.n_links > 0)
 
+    def test_runs_in_the_calling_thread(self, monkeypatch):
+        seen = []
+        verdicts = rt_sim._scene_verdicts
+
+        def spy(scene, fan):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return verdicts(scene, fan)
+
+        monkeypatch.setattr(rt_sim, "_scene_verdicts", spy)
+        monkeypatch.setenv("A2G_LOS_THREADS", "4")
+        before = threading.active_count()
+        estimate_p_los(URBAN, SPEC28, 120.0, 2.0, [100.0, 300.0],
+                       realizations=3, links_per_ring=8, seed=5)
+        assert seen == [(threading.get_ident(), before)] * 3
+        assert threading.active_count() == before
+
     def test_deterministic_and_thread_insensitive(self, monkeypatch):
         kwargs = dict(realizations=3, links_per_ring=24, seed=31)
         monkeypatch.setenv("A2G_LOS_THREADS", "1")
@@ -320,6 +380,57 @@ class TestEstimate:
             estimate_p_los(URBAN, SPEC28, 120.0, 2.0, [100.0], realizations=0, links_per_ring=8, seed=0)
         with pytest.raises(ValueError):
             estimate_p_los(URBAN, SPEC28, 120.0, 2.0, [-5.0], realizations=1, links_per_ring=8, seed=0)
+
+
+class TestFanCull:
+    """The culls over all azimuths at once against the per-azimuth reference."""
+
+    @pytest.mark.parametrize(
+        "scenario, layout, h_tx, spec",
+        [
+            ("urban", "grid", 500.0, SPEC28),
+            ("urban", "grid", 40.0, FresnelSpec(wavelength_from_frequency(2.4e9))),
+            ("high-rise", "uniform", 60.0, SPEC28),
+            ("dense-urban", "grid", 30.0, FresnelSpec(0.0)),
+        ],
+    )
+    @pytest.mark.parametrize("elements", [1, 500, rt_sim._CULL_ELEMENTS, 10**9])
+    def test_same_receivers_and_pairs_as_one_azimuth_at_a_time(
+        self, monkeypatch, scenario, layout, h_tx, spec, elements
+    ):
+        # from one azimuth per block to the whole fan in one block
+        monkeypatch.setattr(rt_sim, "_CULL_ELEMENTS", elements)
+        d_grid = [30.0, 90.0, 180.0, 300.0, 450.0]
+        fan = _link_fan(spec, h_tx, 2.0, d_grid, 36)
+        scene = realization_scene(get_scenario(scenario).env, default_extent(d_grid), 11, 0,
+                                  layout=layout)
+        valid, link, building = _fan_candidates(scene, fan)
+        want_valid, want_pairs = cull_reference.fan_candidates(scene, fan)
+        assert np.array_equal(valid, want_valid)
+        pairs = list(zip(link.tolist(), building.tolist()))
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == want_pairs
+        assert 0 < len(pairs)
+
+    def test_empty_scene_keeps_no_pairs(self):
+        fan = _link_fan(SPEC28, 100.0, 2.0, [50.0, 100.0], 8)
+        valid, link, building = _fan_candidates(Scene([], extent=300.0, seed=0), fan)
+        assert valid.all() and link.size == building.size == 0
+
+
+class TestLinkFan:
+    @pytest.mark.parametrize("spec", [
+        SPEC28,
+        FresnelSpec(wavelength_from_frequency(2.4e9), order=2),
+        FresnelSpec(0.0),
+        FresnelSpec(0.0, order=3),
+    ])
+    def test_semi_axes_equal_the_scalar_axes_bit_for_bit(self, spec):
+        fan = _link_fan(spec, 120.0, 2.0, [30.0, 250.0, 777.7, 1000.0], 12)
+        want = [[[a.x_semi, a.y_semi, a.z_semi]
+                 for a in (fresnel_axes(spec, float(sep)) for sep in row)]
+                for row in fan.length]
+        assert fan.semi_axes.tolist() == want
 
 
 class TestBatchedVerdicts:
@@ -411,13 +522,11 @@ class TestBatchedVerdicts:
         env = get_scenario("high-rise").env
         fan = _link_fan(spec, 60.0, 2.0, self.D_GRID, self.LINKS_PER_RING)
         scene = realization_scene(env, default_extent(self.D_GRID), 5, 0, layout="uniform")
-        kept = circle = 0
-        for k in range(self.LINKS_PER_RING):
-            valid, ring, _ = _azimuth_candidates(scene, fan, k)
-            kept += len(ring)
-            for i in np.nonzero(valid)[0]:
-                tris = _candidate_triangles(scene, fan.tx, fan.rx[k, i], fan.clearance[k, i])
-                circle += len(tris) // 10
+        valid, link, _ = _fan_candidates(scene, fan)
+        kept, circle = len(link), 0
+        for k, i in zip(*np.nonzero(valid)):
+            tris = _candidate_triangles(scene, fan.tx, fan.rx[k, i], fan.clearance[k, i])
+            circle += len(tris) // 10
         assert 0 < kept < circle
 
 
