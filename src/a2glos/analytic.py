@@ -201,15 +201,20 @@ def p_los_vs_elevation(
 ) -> list[float]:
     """LoS probability as a function of elevation angle [rad].
 
-    Each angle maps to the horizontal distance delta_h / tan(theta) at
-    which the probability is evaluated; theta -> pi/2 collapses the
-    distance to zero, where the probability is 1 by definition. The angles
-    need the TX above the RX.
+    Each angle maps to the horizontal distance of :func:`elevation_distances`
+    at which the probability is evaluated; theta -> pi/2 collapses the
+    distance to zero, where the probability is 1 by definition.
     """
+    d = elevation_distances(h_tx, h_rx, angles)
+    return p_los_curve(h_tx, h_rx, d, env, spec, width).tolist()
+
+
+def elevation_distances(h_tx: float, h_rx: float, angles: "list[float] | np.ndarray") -> list[float]:
+    """Horizontal distance delta_h / tan(theta) [m] at each elevation angle
+    [rad]. The angles need the TX above the RX and must be in (0, pi/2]."""
     if not h_tx > h_rx:
         raise ValueError(f"an elevation sweep needs h_tx > h_rx, got {h_tx} and {h_rx}")
     for theta in angles:
         if not 0.0 < theta <= math.pi / 2.0:
             raise ValueError(f"elevation angle must be in (0, pi/2], got {theta}")
-    d = [(h_tx - h_rx) / math.tan(theta) for theta in angles]
-    return p_los_curve(h_tx, h_rx, d, env, spec, width).tolist()
+    return [(h_tx - h_rx) / math.tan(theta) for theta in angles]

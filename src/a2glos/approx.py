@@ -11,6 +11,11 @@ retrained against the analytic model (see the `fit` module) are the default
 source; a set of reference weight tables for the four standard scenarios is
 also bundled, but their original normalization convention is unknown, so
 their outputs are best-effort only and flagged with a warning.
+
+Two array kernels carry the model, :func:`mlp_forward` over height
+differences and :func:`p_los_approx` over distances and (D1, D2); scalars
+give floats equal bit for bit to an array call's elements. Every caller
+gets (D1, D2) from :func:`network_params`, which holds the 1 mm floor.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .environment import ScenarioPreset
 
@@ -31,6 +37,7 @@ __all__ = [
     "STANDARD_PARAM_SETS",
     "REFERENCE_NORM_RANGE",
     "mlp_forward",
+    "network_params",
     "p_los_approx",
     "params_for_scenario",
     "reference_mlp",
@@ -41,15 +48,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ApproxParams:
-    """Breakpoint distance D1 and decay distance D2 [m]."""
+    """Breakpoint distance D1 and decay distance D2 [m]: floats, or arrays
+    of one (D1, D2) per curve that broadcast against the distances."""
 
-    d1: float
-    d2: float
+    d1: float | np.ndarray
+    d2: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.d1 > 0.0:
+        if not np.all(np.asarray(self.d1) > 0.0):
             raise ValueError(f"d1 must be > 0, got {self.d1}")
-        if not self.d2 > 0.0:
+        if not np.all(np.asarray(self.d2) > 0.0):
             raise ValueError(f"d2 must be > 0, got {self.d2}")
 
 
@@ -60,18 +68,22 @@ STANDARD_PARAM_SETS: dict[str, ApproxParams] = {
 }
 
 
-def p_los_approx(d_rx: float, params: ApproxParams) -> float:
-    """Parametric LoS probability at horizontal distance d_rx [m].
+def p_los_approx(d_rx: ArrayLike, params: ApproxParams) -> float | np.ndarray:
+    """Parametric LoS probability at horizontal distances d_rx [m], broadcast
+    against the parameters; a float for scalars.
 
     Exactly 1 for d_rx <= D1 (the d_rx = 0 value is the limit 1), then
-    strictly decreasing towards 0.
+    strictly decreasing towards 0. Raises ValueError for d_rx < 0.
     """
-    if d_rx < 0.0:
-        raise ValueError(f"d_rx must be >= 0, got {d_rx}")
-    if d_rx <= params.d1:
-        return 1.0  # breakpoint region (covers the d_rx = 0 limit)
-    tail = math.exp(-d_rx / params.d2)
-    return (params.d1 / d_rx) * (1.0 - tail) + tail
+    d, d1, d2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (d_rx, params.d1, params.d2)))
+    if (d < 0.0).any():
+        raise ValueError(f"d_rx must be >= 0, got {d[d < 0.0][0]}")
+    out = np.ones(d.shape)  # breakpoint region (covers the d_rx = 0 limit)
+    far = ~(d <= d1)
+    x = d[far]
+    tail = np.array(list(map(math.exp, (-x / d2[far]).tolist())))  # np.exp rounds some differently
+    out[far] = (d1[far] / x) * (1.0 - tail) + tail
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -105,16 +117,32 @@ class Mlp:
         return len(self.input_weights)
 
 
-def mlp_forward(mlp: Mlp, delta_h: float) -> float:
-    """Evaluate the network at a height difference delta_h [m]."""
+def mlp_forward(mlp: Mlp, delta_h: ArrayLike) -> float | np.ndarray:
+    """Evaluate the network at height differences delta_h [m]: a float for a
+    scalar, else an array of its shape. np.vecdot sums each row as np.dot
+    sums one, so every value equals a lone call's bit for bit."""
     in_lo, in_hi = mlp.input_norm
-    x = (delta_h - in_lo) / (in_hi - in_lo)
+    x = (np.asarray(delta_h, dtype=float)[..., None] - in_lo) / (in_hi - in_lo)
     z = np.asarray(mlp.input_weights) * x + np.asarray(mlp.input_biases)
     with np.errstate(over="ignore"):  # saturated sigmoid: exp overflow -> 0
         hidden = 1.0 / (1.0 + np.exp(-z))
-    y = float(np.dot(mlp.output_weights, hidden)) + mlp.output_bias
+    y = np.vecdot(hidden, mlp.output_weights) + mlp.output_bias
     out_lo, out_hi = mlp.output_norm
-    return y * (out_hi - out_lo) + out_lo
+    y = y * (out_hi - out_lo) + out_lo
+    return float(y) if np.ndim(y) == 0 else y
+
+
+def network_params(pair: tuple[Mlp, Mlp], delta_h: ArrayLike) -> ApproxParams:
+    """(D1, D2) a (d1 net, d2 net) pair predicts at height differences
+    delta_h [m], each > 0: scalars for a scalar, else arrays. Predictions are
+    floored at 1 mm to keep the parameter invariants even under extreme
+    extrapolation.
+    """
+    dh = np.asarray(delta_h, dtype=float)
+    if not (dh > 0.0).all():
+        raise ValueError(f"delta_h must be > 0, got {dh[~(dh > 0.0)][0]}")
+    d1, d2 = (np.maximum(mlp_forward(net, dh), 1e-3) for net in pair)
+    return ApproxParams(d1=d1, d2=d2)
 
 
 # --- plain-text serialization -------------------------------------------
@@ -293,11 +321,8 @@ def params_for_scenario(
         models: optional explicit (d1 net, d2 net) pair overriding both
             sources.
 
-    Predictions are floored at 1 mm to keep the parameter invariants even
-    under extreme extrapolation.
+    The pair's predictions go through :func:`network_params`.
     """
-    if not delta_h > 0.0:
-        raise ValueError(f"delta_h must be > 0, got {delta_h}")
     if models is not None:
         pair = models
     elif source == "reference":
@@ -312,9 +337,7 @@ def params_for_scenario(
         pair = _retrained_pair(scenario)
     else:
         raise ValueError(f"source must be 'retrained' or 'reference', got {source!r}")
-    d1 = max(mlp_forward(pair[0], delta_h), 1e-3)
-    d2 = max(mlp_forward(pair[1], delta_h), 1e-3)
-    return ApproxParams(d1=d1, d2=d2)
+    return network_params(pair, delta_h)
 
 
 def _retrained_pair(scenario: ScenarioPreset) -> tuple[Mlp, Mlp]:

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -23,12 +24,13 @@ import numpy as np
 
 from . import __version__
 # perfbench/tracing.py wraps p_los, max_comm_distance and p_los_vs_elevation here by name.
-from .analytic import max_comm_distance, p_los, p_los_curve, p_los_vs_elevation  # noqa: F401
-from .approx import (
-    ApproxParams,
+from .analytic import elevation_distances, max_comm_distance, p_los, p_los_curve, p_los_vs_elevation  # noqa: F401
+# perfbench/tracing.py wraps mlp_forward here by name.
+from .approx import (  # noqa: F401
     STANDARD_PARAM_SETS,
     load_mlp,
     mlp_forward,
+    network_params,
     p_los_approx,
     save_mlp,
 )
@@ -41,6 +43,7 @@ from .fit import (
     rmse,
     split_dataset,
     train,
+    train_pair,
 )
 from .geometry import FresnelSpec, wavelength_from_frequency
 from .rt_sim import (
@@ -95,8 +98,6 @@ def _resolve_spec(args) -> tuple[FresnelSpec, str]:
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return repr(float(x))
 
 
@@ -133,26 +134,25 @@ def _emit(args, lines: list[str], files: Files) -> None:
         raise
 
 
-def _header(command: str, pairs: dict[str, object]) -> list[str]:
-    echo = " ".join(f"{k}={v}" for k, v in pairs.items())
-    return [f"# a2glos v{__version__} {command}", f"# {echo}"]
+def _header(command: str, scen: str, env: Environment, freq: str | None, pairs: dict) -> list[str]:
+    """The command and its parameter echo: the area, the carrier unless freq is None, then pairs."""
+    echo = {"scenario": scen, "alpha": env.alpha, "beta": env.beta, "gamma": env.gamma}
+    if freq is not None:
+        echo["f_ghz"] = freq
+    echo.update(pairs)
+    return [f"# a2glos v{__version__} {command}", "# " + " ".join(f"{k}={v}" for k, v in echo.items())]
 
 
 def cmd_analytic(args) -> tuple[list[str], Files]:
     env, scen = _resolve_env(args)
     spec, freq = _resolve_spec(args)
     pairs = {
-        "scenario": scen,
-        "alpha": env.alpha,
-        "beta": env.beta,
-        "gamma": env.gamma,
-        "f_ghz": freq,
         "order": spec.order,
         "htx": args.htx,
         "hrx": args.hrx,
         "width": "model" if args.width is None else args.width,
     }
-    lines = _header("analytic", pairs)
+    lines = _header("analytic", scen, env, freq, pairs)
     if args.elevation is not None:
         thetas = _parse_grid(args.elevation)
         probs = p_los_vs_elevation(
@@ -200,11 +200,6 @@ def cmd_fit(args) -> tuple[list[str], Files]:
         h_rx=args.hrx, delta_h_grid=delta_h_grid, d_grid=d_grid,
     )
     pairs = {
-        "scenario": scen,
-        "alpha": env.alpha,
-        "beta": env.beta,
-        "gamma": env.gamma,
-        "f_ghz": freq,
         "hrx": args.hrx,
         "seed": args.seed,
         "hidden": cfg.hidden_neurons,
@@ -212,7 +207,7 @@ def cmd_fit(args) -> tuple[list[str], Files]:
         "epochs": cfg.epochs,
         "eta": cfg.eta,
     }
-    lines = _header("fit", pairs)
+    lines = _header("fit", scen, env, freq, pairs)
     # config comment in the dataset-file format, so the report itself can
     # be read back as a dataset
     lines.append(
@@ -242,8 +237,7 @@ def cmd_fit(args) -> tuple[list[str], Files]:
 def _run_simulation(args, env, spec):
     if args.elevation is not None:
         thetas = _parse_grid(args.elevation)
-        dh = args.htx - args.hrx
-        d_grid = [dh / math.tan(math.radians(t)) for t in thetas]
+        d_grid = elevation_distances(args.htx, args.hrx, [math.radians(t) for t in thetas])
         labels = thetas
         label_name = "theta_deg"
     else:
@@ -265,16 +259,9 @@ def _run_simulation(args, env, spec):
     return labels, label_name, d_grid, est
 
 
-def cmd_simulate(args) -> tuple[list[str], Files]:
-    env, scen = _resolve_env(args)
-    spec, freq = _resolve_spec(args)
-    labels, label_name, d_grid, est = _run_simulation(args, env, spec)
-    pairs = {
-        "scenario": scen,
-        "alpha": env.alpha,
-        "beta": env.beta,
-        "gamma": env.gamma,
-        "f_ghz": freq,
+def _simulation_echo(args) -> dict[str, object]:
+    """The parameter echo that simulate and compare share."""
+    return {
         "htx": args.htx,
         "hrx": args.hrx,
         "realizations": args.realizations,
@@ -282,7 +269,13 @@ def cmd_simulate(args) -> tuple[list[str], Files]:
         "layout": args.layout,
         "seed": args.seed,
     }
-    lines = _header("simulate", pairs)
+
+
+def cmd_simulate(args) -> tuple[list[str], Files]:
+    env, scen = _resolve_env(args)
+    spec, freq = _resolve_spec(args)
+    labels, label_name, d_grid, est = _run_simulation(args, env, spec)
+    lines = _header("simulate", scen, env, freq, _simulation_echo(args))
     lines.append(f"{label_name},p_sim,ci_halfwidth")
     for lab, p, ci in zip(labels, est.p_los, est.ci_halfwidth):
         lines.append(f"{_fmt(lab)},{_fmt(p)},{_fmt(ci)}")
@@ -299,9 +292,13 @@ def cmd_compare(args) -> tuple[list[str], Files]:
     env, scen = _resolve_env(args)
     spec, freq = _resolve_spec(args)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
+    if not models:
+        raise ValueError(f"--models names no model; choose from {_KNOWN_MODELS}")
     unknown = [m for m in models if m not in _KNOWN_MODELS]
     if unknown:
         raise ValueError(f"unknown models: {', '.join(unknown)}; choose from {_KNOWN_MODELS}")
+    if (args.d1_model is None) != (args.d2_model is None):
+        raise ValueError("give both --d1-model and --d2-model, or neither")
     labels, label_name, d_grid, est = _run_simulation(args, env, spec)
 
     columns: dict[str, list[float]] = {}
@@ -311,41 +308,21 @@ def cmd_compare(args) -> tuple[list[str], Files]:
             columns[model] = p_los_curve(args.htx, args.hrx, d_grid, env, spec).tolist()
         elif model in ("approx-3gpp", "approx-5gcm"):
             params = STANDARD_PARAM_SETS[model.split("-")[1]]
-            columns[model] = [p_los_approx(d, params) for d in d_grid]
+            columns[model] = p_los_approx(d_grid, params).tolist()
         else:  # approx-retrained
-            if args.d1_model and args.d2_model:
+            if args.d1_model is not None:
                 pair = (load_mlp(args.d1_model), load_mlp(args.d2_model))
             else:
-                from .fit import train_pair
-
                 notes.append("# note: retrained models trained in-process (no model files given)")
-                m1, m2, _ = train_pair(env, spec, h_rx=args.hrx)
-                pair = (m1, m2)
-            dh = args.htx - args.hrx
-            params = ApproxParams(
-                d1=max(mlp_forward(pair[0], dh), 1e-3),
-                d2=max(mlp_forward(pair[1], dh), 1e-3),
-            )
-            columns[model] = [p_los_approx(d, params) for d in d_grid]
+                pair = train_pair(env, spec, h_rx=args.hrx)[:2]
+            params = network_params(pair, args.htx - args.hrx)
+            columns[model] = p_los_approx(d_grid, params).tolist()
             notes.append(
                 f"# approx-retrained d1={_fmt(params.d1)} d2={_fmt(params.d2)}"
             )
 
-    pairs = {
-        "scenario": scen,
-        "alpha": env.alpha,
-        "beta": env.beta,
-        "gamma": env.gamma,
-        "f_ghz": freq,
-        "htx": args.htx,
-        "hrx": args.hrx,
-        "realizations": args.realizations,
-        "links_per_ring": args.links_per_ring,
-        "layout": args.layout,
-        "seed": args.seed,
-        "models": ",".join(models),
-    }
-    lines = _header("compare", pairs)
+    pairs = {**_simulation_echo(args), "models": ",".join(models)}
+    lines = _header("compare", scen, env, freq, pairs)
     lines += notes
     col_names = [m.replace("-", "_") for m in models]
     lines.append(f"{label_name},p_sim,ci_halfwidth," + ",".join("p_" + c for c in col_names))
@@ -368,20 +345,13 @@ def cmd_compare(args) -> tuple[list[str], Files]:
 def cmd_scene(args) -> tuple[list[str], Files]:
     env, scen = _resolve_env(args)
     scene = synthesize_scene(env, args.extent, seed=args.seed, layout=args.layout)
-    lines = _header(
-        "scene",
-        {
-            "scenario": scen,
-            "alpha": env.alpha,
-            "beta": env.beta,
-            "gamma": env.gamma,
-            "extent": args.extent,
-            "layout": args.layout,
-            "seed": args.seed,
-            "buildings": len(scene),
-        },
-    )
-    return lines + scene_csv_lines(scene), []
+    pairs = {
+        "extent": args.extent,
+        "layout": args.layout,
+        "seed": args.seed,
+        "buildings": len(scene),
+    }
+    return _header("scene", scen, env, None, pairs) + scene_csv_lines(scene), []
 
 
 def _add_env_args(p: argparse.ArgumentParser) -> None:
@@ -398,7 +368,9 @@ def _add_freq_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", type=int, default=1, help="clearance-zone order (default 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="a2glos",
         description="LoS probability for air-to-ground links over statistical urban areas",

@@ -12,6 +12,10 @@ validation set; the epoch with the best validation RMSE wins. The networks
 train in lockstep: every step evaluates all of them, on the training and
 the validation rows, in one pass, while each keeps its own learning rate,
 step halving, stop and best epoch.
+
+Evaluation (:func:`rmse`, :func:`approx_vs_analytic_error`) calls the
+networks and the curve once each over whole arrays, through the kernels of
+the `approx` module and its 1 mm floor.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 # perfbench/tracing.py wraps p_los and worker_count here by name.
 from .analytic import p_los, p_los_curve  # noqa: F401
-from .approx import ApproxParams, Mlp, mlp_forward, p_los_approx
+from .approx import Mlp, mlp_forward, network_params, p_los_approx
 from .environment import Environment
 from .geometry import FresnelSpec, wavelength_from_frequency
 from .workers import worker_count  # noqa: F401
@@ -217,6 +221,8 @@ def build_dataset(
     ))
     if dhs.size == 0:
         raise ValueError("delta_h grid is empty")
+    if not dhs[0] > 0.0:
+        raise ValueError(f"delta_h must be > 0, got {dhs[0]}")
     if np.any(np.diff(dhs) <= 0.0):
         raise ValueError("delta_h grid has duplicate values")
     d = np.asarray(default_d_grid() if d_grid is None else d_grid, dtype=float)
@@ -513,7 +519,7 @@ def rmse(mlp: Mlp, ds: FitDataset, target: str) -> float:
     """Root-mean-square prediction error [m] over a dataset."""
     if len(ds) == 0:
         raise ValueError("dataset is empty")
-    preds = np.array([mlp_forward(mlp, r.delta_h) for r in ds.records])
+    preds = mlp_forward(mlp, ds.delta_h)
     return float(np.sqrt(np.mean((preds - ds.column(target)) ** 2)))
 
 
@@ -549,24 +555,16 @@ def approx_vs_analytic_error(
     """(MSE, max absolute error) of the parametric model vs the analytic one.
 
     Evaluated over the delta_h x distance mesh (defaults match the training
-    grids), with the parametric curves driven by the network predictions.
+    grids), with the parametric curves driven by the network predictions,
+    as one array each. The squared errors are summed row by row, one dot
+    product per height difference, and the rows added in order.
     """
     dhs = np.asarray(
         default_delta_h_grid() if delta_h_grid is None else delta_h_grid, dtype=float
     )
     d = np.asarray(default_d_grid() if d_grid is None else d_grid, dtype=float)
     analytic_mesh = p_los_curve(h_rx + dhs[:, None], h_rx, d, env, spec)
-    total_sq = 0.0
-    max_abs = 0.0
-    count = 0
-    for delta_h, analytic in zip(dhs, analytic_mesh):
-        params = ApproxParams(
-            d1=max(mlp_forward(mlp_d1, delta_h), 1e-3),
-            d2=max(mlp_forward(mlp_d2, delta_h), 1e-3),
-        )
-        model = np.array([p_los_approx(di, params) for di in d])
-        err = model - analytic
-        total_sq += float(err @ err)
-        max_abs = max(max_abs, float(np.max(np.abs(err))))
-        count += d.size
-    return total_sq / count, max_abs
+    params = network_params((mlp_d1, mlp_d2), dhs[:, None])
+    err = p_los_approx(d, params) - analytic_mesh
+    total_sq = np.cumsum(np.vecdot(err, err))[-1]
+    return float(total_sq) / err.size, float(np.max(np.abs(err)))

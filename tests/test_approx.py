@@ -4,18 +4,22 @@ import math
 import numpy as np
 import pytest
 
+import approx_reference as reference
 from a2glos.approx import (
     ApproxParams,
     Mlp,
     STANDARD_PARAM_SETS,
     load_mlp,
     mlp_forward,
+    network_params,
     p_los_approx,
     params_for_scenario,
     reference_mlp,
     save_mlp,
 )
 from a2glos.environment import get_scenario
+
+SCENARIOS = ("suburban", "urban", "dense-urban", "high-rise")
 
 
 def forward_oracle(mlp: Mlp, delta_h: float) -> float:
@@ -65,6 +69,110 @@ class TestParametricModel:
             ApproxParams(18.0, -1.0)
         with pytest.raises(ValueError):
             p_los_approx(-1.0, ApproxParams(18.0, 63.0))
+
+
+class TestCurveKernel:
+    """The array p_los_approx against the scalar reference, value by value."""
+
+    PARAMS = [
+        ApproxParams(18.0, 63.0),
+        ApproxParams(20.0, 66.0),
+        ApproxParams(50.0, 120.0),
+        ApproxParams(1e-3, 1e-3),
+        ApproxParams(937.25, 8.6e5),
+    ]
+
+    def distances(self, params, rng):
+        d1 = params.d1
+        edges = [0.0, d1, d1 - 1e-9, d1 + 1e-9, np.nextafter(d1, 0.0), np.nextafter(d1, 2 * d1), 1e9]
+        return np.concatenate([edges, rng.uniform(0.0, 3.0 * d1, 200), rng.uniform(0.0, 5e3, 200)])
+
+    @pytest.mark.parametrize("params", PARAMS, ids=lambda p: f"{p.d1}-{p.d2}")
+    def test_array_equals_scalar_calls(self, params):
+        d = self.distances(params, np.random.default_rng(5))
+        got = p_los_approx(d, params)
+        assert isinstance(got, np.ndarray) and got.shape == d.shape
+        want = [reference.p_los_approx(float(x), params) for x in d]
+        assert got.tolist() == want
+        assert got.tolist() == [p_los_approx(float(x), params) for x in d]
+        assert np.all(got[d <= params.d1] == 1.0)
+        assert np.all((got[d > params.d1] > 0.0) & (got[d > params.d1] <= 1.0))
+
+    def test_scalar_input_gives_a_float(self):
+        params = ApproxParams(18.0, 63.0)
+        for d in (0.0, 18.0, 100.0, 1e9):
+            got = p_los_approx(d, params)
+            assert type(got) is float and got == reference.p_los_approx(d, params)
+
+    def test_parameter_arrays_broadcast_one_curve_per_row(self):
+        rng = np.random.default_rng(8)
+        d1, d2 = rng.uniform(1.0, 400.0, (6, 1)), rng.uniform(5.0, 2e3, (6, 1))
+        d = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1000.0, 50)])
+        got = p_los_approx(d, ApproxParams(d1, d2))
+        assert got.shape == (6, d.size)
+        for row, a, b in zip(got, d1[:, 0], d2[:, 0]):
+            assert row.tolist() == [reference.p_los_approx(float(x), ApproxParams(a, b)) for x in d]
+
+    def test_negative_distance_in_an_array_is_rejected(self):
+        with pytest.raises(ValueError, match="-2.0"):
+            p_los_approx(np.array([1.0, -2.0, 3.0]), ApproxParams(18.0, 63.0))
+
+    def test_non_positive_parameter_arrays_are_rejected(self):
+        with pytest.raises(ValueError, match="d1"):
+            ApproxParams(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="d2"):
+            ApproxParams(np.array([1.0, 2.0]), np.array([1.0, np.nan]))
+
+
+class TestForwardKernel:
+    """The array mlp_forward against one call per height difference."""
+
+    DHS = np.concatenate([[0.0, 1e-9, 28.5, 998.5, 1e4, 1e6, -50.0], np.arange(28.5, 1000.0, 10.0)])
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("parameter", ["d1", "d2"])
+    def test_reference_networks(self, scenario, parameter):
+        mlp = reference_mlp(scenario, parameter)
+        got = mlp_forward(mlp, self.DHS)
+        assert isinstance(got, np.ndarray) and got.shape == self.DHS.shape
+        assert got.tolist() == [reference.mlp_forward(mlp, float(dh)) for dh in self.DHS]
+        assert got.tolist() == [mlp_forward(mlp, float(dh)) for dh in self.DHS]
+
+    def test_random_networks_and_shapes(self):
+        rng = np.random.default_rng(17)
+        for j in (1, 4, 9):
+            mlp = Mlp(tuple(rng.normal(0, 8, j)), tuple(rng.normal(0, 3, j)),
+                      tuple(rng.normal(0, 3, j)), float(rng.normal()), (28.5, 998.5), (3.0, 1700.0))
+            dhs = rng.uniform(0.0, 1200.0, (5, 7))
+            got = mlp_forward(mlp, dhs)
+            assert got.shape == (5, 7)
+            assert got.ravel().tolist() == [reference.mlp_forward(mlp, float(dh)) for dh in dhs.ravel()]
+
+    def test_scalar_input_gives_a_float(self):
+        mlp = reference_mlp("urban", "d2")
+        got = mlp_forward(mlp, 250.0)
+        assert type(got) is float and got == reference.mlp_forward(mlp, 250.0)
+
+
+class TestNetworkParams:
+    def test_floor_and_values_match_the_scalar_rule(self):
+        # a network whose output falls below zero past mid-range: the floor bites
+        falling = Mlp((20.0,), (-10.0,), (-1.0,), 0.5, (0.0, 1000.0), (0.0, 100.0))
+        rising = reference_mlp("urban", "d2")
+        dhs = np.linspace(10.0, 990.0, 50)
+        got = network_params((falling, rising), dhs)
+        want_d1 = [max(reference.mlp_forward(falling, dh), 1e-3) for dh in dhs]
+        want_d2 = [max(reference.mlp_forward(rising, dh), 1e-3) for dh in dhs]
+        assert got.d1.tolist() == want_d1 and got.d2.tolist() == want_d2
+        assert 1e-3 in want_d1 and min(want_d1) == 1e-3
+        one = network_params((falling, rising), float(dhs[45]))
+        assert (one.d1, one.d2) == (want_d1[45], want_d2[45]) == (1e-3, want_d2[45])
+
+    def test_non_positive_height_difference_is_rejected(self):
+        pair = (reference_mlp("urban", "d1"), reference_mlp("urban", "d2"))
+        for bad in (0.0, -1.0, np.array([10.0, 0.0]), np.nan):
+            with pytest.raises(ValueError, match="delta_h must be > 0"):
+                network_params(pair, bad)
 
 
 class TestForwardPass:

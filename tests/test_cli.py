@@ -5,8 +5,8 @@ import stat
 import pytest
 
 from a2glos.analytic import p_los, p_los_baseline
-from a2glos.approx import ApproxParams, p_los_approx
-from a2glos.cli import _parse_grid, main
+from a2glos.approx import ApproxParams, p_los_approx, reference_mlp
+from a2glos.cli import _parse_grid, build_parser, main
 from a2glos.environment import Environment
 from a2glos.geometry import FresnelSpec, LinkGeometry
 from a2glos.rt_sim import _subseed, dump_scene_csv, realization_scene
@@ -22,6 +22,10 @@ def run_cli(args, tmp_path, name="out.csv"):
 
 def data_rows(text):
     return [l for l in text.splitlines() if l and not l.startswith("#")]
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 class TestGridSyntax:
@@ -211,6 +215,15 @@ class TestSimulateCommand:
         assert not out.exists()
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "analytic"])
+    @pytest.mark.parametrize("angles", ["0:80:10", "10:100:10"])
+    def test_elevation_outside_zero_to_ninety_is_a_usage_error(self, tmp_path, capsys, command, angles):
+        code, out = run_cli([command, "--scenario", "urban", "--htx", "100", "--f-ghz", "28",
+                             "--elevation", angles], tmp_path)
+        assert code == 2
+        assert "elevation angle must be in (0, pi/2]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_elevation_mode(self, tmp_path):
         code, out = run_cli(
             ["simulate", "--scenario", "urban", "--htx", "120", "--hrx", "2",
@@ -275,6 +288,39 @@ class TestCompareCommand:
     def test_unknown_model_identifier(self):
         assert main(["compare", "--scenario", "urban", "--htx", "120",
                      "--f-ghz", "28", "--models", "crystal-ball"]) == 2
+
+    def test_empty_model_list_is_a_usage_error(self, tmp_path):
+        code, out = run_cli(["compare", "--scenario", "urban", "--htx", "120", "--f-ghz", "28",
+                             "--d", "100", "--realizations", "1", "--models", ","], tmp_path)
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["--d1-model", "--d2-model"])
+    def test_a_lone_model_file_is_a_usage_error(self, tmp_path, capsys, given):
+        from a2glos.approx import save_mlp
+
+        net = tmp_path / "m.txt"
+        save_mlp(reference_mlp("urban", "d1"), net)
+        code, out = run_cli(["compare", "--scenario", "urban", "--htx", "120", "--f-ghz", "28",
+                             "--d", "100", "--realizations", "1", "--models", "approx-retrained",
+                             given, str(net)], tmp_path)
+        assert code == 2
+        assert "--d1-model and --d2-model" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_retrained_model_at_equal_heights_is_a_usage_error(self, tmp_path, capsys):
+        from a2glos.approx import save_mlp
+
+        p1, p2 = tmp_path / "m.d1.txt", tmp_path / "m.d2.txt"
+        save_mlp(reference_mlp("urban", "d1"), p1)
+        save_mlp(reference_mlp("urban", "d2"), p2)
+        code, out = run_cli(["compare", "--scenario", "urban", "--htx", "2", "--hrx", "2",
+                             "--f-ghz", "28", "--d", "100", "--realizations", "1",
+                             "--links-per-ring", "8", "--models", "approx-retrained",
+                             "--d1-model", str(p1), "--d2-model", str(p2)], tmp_path)
+        assert code == 2
+        assert "delta_h must be > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fit_then_compare_workflow(self, tmp_path):
         # model files produced by `fit` feed straight into `compare`
@@ -352,6 +398,13 @@ class TestFitCommand:
                      "--out-prefix", str(tmp_path / "u"), "--out", str(out)] + extra)
         assert code == 2
         assert list(tmp_path.iterdir()) == []
+
+    def test_non_positive_height_difference_is_a_usage_error(self, tmp_path, capsys):
+        code, out = run_cli(["fit", "--scenario", "urban", "--f-ghz", "28", "--delta-h", "0:90:10",
+                             "--epochs", "10", "--out-prefix", str(tmp_path / "net")], tmp_path)
+        assert code == 2
+        assert "delta_h must be > 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_degenerate_dataset_fails_with_the_offending_height(self, tmp_path, capsys):
         # a transmitter this high never loses any link: nothing to fit

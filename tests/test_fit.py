@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import approx_reference
 from a2glos.analytic import p_los
-from a2glos.approx import ApproxParams, mlp_forward, p_los_approx
-from a2glos.environment import Environment
+from a2glos.approx import ApproxParams, mlp_forward, p_los_approx, reference_mlp
+from a2glos.environment import Environment, get_scenario
 from a2glos.fit import (
     FitDataset,
     FitRecord,
     TrainConfig,
+    approx_vs_analytic_error,
     build_dataset,
     cost_and_gradient,
     fit_parametric_curve,
@@ -121,6 +123,8 @@ class TestBuildDataset:
             build_dataset(URBAN, SPEC28, delta_h_grid=[])
         with pytest.raises(ValueError):
             build_dataset(URBAN, SPEC28, delta_h_grid=[10.0, 10.0])
+        with pytest.raises(ValueError, match="delta_h must be > 0"):
+            build_dataset(URBAN, SPEC28, delta_h_grid=[0.0, 10.0])
 
 
 class TestSplit:
@@ -260,6 +264,23 @@ def Mlp_const(value: float):
     from a2glos.approx import Mlp
 
     return Mlp((0.0,), (0.0,), (0.0,), 0.0, (0.0, 1.0), (value, value + 1.0))
+
+
+class TestErrorMesh:
+    """approx_vs_analytic_error against its per-point reference, bit for bit."""
+
+    @pytest.mark.parametrize("scenario", ["suburban", "urban", "dense-urban", "high-rise"])
+    def test_reference_networks_at_28ghz(self, scenario):
+        nets = (reference_mlp(scenario, "d1"), reference_mlp(scenario, "d2"))
+        env = get_scenario(scenario).env
+        got = approx_vs_analytic_error(*nets, env, SPEC28)
+        assert got == approx_reference.approx_vs_analytic_error(*nets, env, SPEC28)
+
+    def test_retrained_networks_on_other_grids(self, urban_models):
+        mlp_d1, mlp_d2, _ = urban_models
+        grids = dict(h_rx=2.0, delta_h_grid=[18.0, 118.0, 500.0, 1400.0], d_grid=[0.0, 3.0, 700.0, 2500.0])
+        got = approx_vs_analytic_error(mlp_d1, mlp_d2, URBAN, SPEC28, **grids)
+        assert got == approx_reference.approx_vs_analytic_error(mlp_d1, mlp_d2, URBAN, SPEC28, **grids)
 
 
 class TestRetrainedUrbanModels:
