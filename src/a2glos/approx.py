@@ -36,6 +36,7 @@ __all__ = [
     "Mlp",
     "STANDARD_PARAM_SETS",
     "REFERENCE_NORM_RANGE",
+    "check_delta_h",
     "mlp_forward",
     "network_params",
     "p_los_approx",
@@ -138,11 +139,17 @@ def network_params(pair: tuple[Mlp, Mlp], delta_h: ArrayLike) -> ApproxParams:
     floored at 1 mm to keep the parameter invariants even under extreme
     extrapolation.
     """
+    dh = check_delta_h(delta_h)
+    d1, d2 = (np.maximum(mlp_forward(net, dh), 1e-3) for net in pair)
+    return ApproxParams(d1=d1, d2=d2)
+
+
+def check_delta_h(delta_h: ArrayLike) -> np.ndarray:
+    """delta_h [m] as an array; ValueError unless every value is > 0."""
     dh = np.asarray(delta_h, dtype=float)
     if not (dh > 0.0).all():
         raise ValueError(f"delta_h must be > 0, got {dh[~(dh > 0.0)][0]}")
-    d1, d2 = (np.maximum(mlp_forward(net, dh), 1e-3) for net in pair)
-    return ApproxParams(d1=d1, d2=d2)
+    return dh
 
 
 # --- plain-text serialization -------------------------------------------
@@ -321,8 +328,10 @@ def params_for_scenario(
         models: optional explicit (d1 net, d2 net) pair overriding both
             sources.
 
-    The pair's predictions go through :func:`network_params`.
+    The pair's predictions go through :func:`network_params`; delta_h is
+    checked before any network is trained.
     """
+    check_delta_h(delta_h)
     if models is not None:
         pair = models
     elif source == "reference":

@@ -28,6 +28,7 @@ from .analytic import elevation_distances, max_comm_distance, p_los, p_los_curve
 # perfbench/tracing.py wraps mlp_forward here by name.
 from .approx import (  # noqa: F401
     STANDARD_PARAM_SETS,
+    check_delta_h,
     load_mlp,
     mlp_forward,
     network_params,
@@ -299,6 +300,8 @@ def cmd_compare(args) -> tuple[list[str], Files]:
         raise ValueError(f"unknown models: {', '.join(unknown)}; choose from {_KNOWN_MODELS}")
     if (args.d1_model is None) != (args.d2_model is None):
         raise ValueError("give both --d1-model and --d2-model, or neither")
+    if "approx-retrained" in models:
+        check_delta_h(args.htx - args.hrx)  # before the simulation and any training
     labels, label_name, d_grid, est = _run_simulation(args, env, spec)
 
     columns: dict[str, list[float]] = {}

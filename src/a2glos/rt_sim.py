@@ -13,9 +13,9 @@ the clearance test an affine map takes the ellipsoid to the unit sphere
 where triangle/sphere overlap reduces to a point-triangle distance. The
 per-link predicates cull buildings by a bounding-circle check only and
 test the scene's full mesh; they are the reference for the Monte-Carlo
-estimator, which culls harder, over every azimuth at once, and
-triangulates only the buildings left for its batched exact test (see
-`estimate_p_los`).
+estimator, which culls harder, over every azimuth at once, settles sure
+blockages with a segment-box crossing, and triangulates only the
+buildings left for its batched exact test (see `estimate_p_los`).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ _DET_EPS = 1e-12  # ray parallel to triangle plane below this determinant
 _CULL_MARGIN = 0.5  # [m] slack of the building culls around the clearance zone
 _SEGMENT_CLEARANCE = 1e-9  # [m] bounding-circle slack of the segment test
 _BATCH_PAIRS = 256  # (link, building) pairs per batched exact test
+_CROSS_MARGIN = 1e-3  # segment parameter kept clear of each end by the crossing pre-test
 _CULL_ELEMENTS = 1 << 14  # (building, azimuth) pairs per cull block: 128 KiB per float64 temporary
 
 _MASK64 = (1 << 64) - 1
@@ -349,7 +350,8 @@ def _point_triangle_dist_sq(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.n
 
     Vectorised barycentric region walk: candidate closest points on the
     three vertices, three edges and the face are selected by the standard
-    sign tests.
+    sign tests in the order vertex A, B, C, edge AB, AC, BC, face; the
+    `np.where` chain below runs that order backwards, so the first match sticks.
     """
     ab = b - a
     ac = c - a
@@ -366,39 +368,24 @@ def _point_triangle_dist_sq(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.n
     vb = d5 * d2 - d1 * d6
     vc = d1 * d4 - d3 * d2
 
-    closest = np.empty_like(a)
-    done = np.zeros(len(a), dtype=bool)
-
-    def assign(mask: np.ndarray, points: np.ndarray) -> None:
-        nonlocal done
-        mask = mask & ~done
-        closest[mask] = points[mask]
-        done |= mask
-
-    assign((d1 <= 0.0) & (d2 <= 0.0), a)  # vertex A region
-    assign((d3 >= 0.0) & (d4 <= d3), b)  # vertex B region
-    assign((d6 >= 0.0) & (d5 <= d6), c)  # vertex C region
-
-    denom_ab = d1 - d3
-    t_ab = np.divide(d1, denom_ab, out=np.zeros_like(d1), where=denom_ab != 0.0)
-    assign((vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0), a + t_ab[:, None] * ab)
-
-    denom_ac = d2 - d6
-    t_ac = np.divide(d2, denom_ac, out=np.zeros_like(d2), where=denom_ac != 0.0)
-    assign((vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0), a + t_ac[:, None] * ac)
-
+    denom = va + vb + vc
+    safe = np.where(denom == 0.0, 1.0, denom)
+    closest = a + (vb / safe)[:, None] * ab + (vc / safe)[:, None] * ac  # face region
     denom_bc = (d4 - d3) + (d5 - d6)
     t_bc = np.divide(d4 - d3, denom_bc, out=np.zeros_like(d4), where=denom_bc != 0.0)
-    assign((va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0), b + t_bc[:, None] * (c - b))
-
-    if not np.all(done):  # face region
-        denom = va + vb + vc
-        safe = np.where(denom == 0.0, 1.0, denom)
-        v = vb / safe
-        w = vc / safe
-        face = a + v[:, None] * ab + w[:, None] * ac
-        assign(~done, face)
-
+    edge_bc = (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0)
+    closest = np.where(edge_bc[:, None], b + t_bc[:, None] * (c - b), closest)
+    denom_ac = d2 - d6
+    t_ac = np.divide(d2, denom_ac, out=np.zeros_like(d2), where=denom_ac != 0.0)
+    edge_ac = (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0)
+    closest = np.where(edge_ac[:, None], a + t_ac[:, None] * ac, closest)
+    denom_ab = d1 - d3
+    t_ab = np.divide(d1, denom_ab, out=np.zeros_like(d1), where=denom_ab != 0.0)
+    edge_ab = (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0)
+    closest = np.where(edge_ab[:, None], a + t_ab[:, None] * ab, closest)
+    closest = np.where(((d6 >= 0.0) & (d5 <= d6))[:, None], c, closest)  # vertex C region
+    closest = np.where(((d3 >= 0.0) & (d4 <= d3))[:, None], b, closest)  # vertex B region
+    closest = np.where(((d1 <= 0.0) & (d2 <= 0.0))[:, None], a, closest)  # vertex A region
     return np.einsum("ij,ij->i", closest, closest)
 
 
@@ -585,18 +572,52 @@ def _pairs_blocked(
     return hit.reshape(-1, 10).any(axis=1)
 
 
+def _segments_cross_boxes(
+    scene: Scene, fan: _LinkFan, link: np.ndarray, building: np.ndarray
+) -> np.ndarray:
+    """Whether each link's TX-RX segment crosses its building's surface at a
+    segment parameter t in [_CROSS_MARGIN, 1 - _CROSS_MARGIN] (slab test).
+
+    With both terminals at or above ground that point lies on a wall or the
+    roof, and the clearance test maps it onto the axis at radius <= 1 - 2 *
+    _CROSS_MARGIN, so the exact test is sure to block the pair. A zero
+    direction component gives an infinite slab when the TX is strictly
+    inside it, an empty one outside, and NaN (no verdict) on its boundary.
+    """
+    half = scene._widths[building, None] / 2.0
+    lo = np.column_stack([scene._centers[building] - half, np.zeros(building.size)])
+    hi = np.column_stack([scene._centers[building] + half, scene._heights[building]])
+    direction = fan.rx.reshape(-1, 3)[link] - fan.tx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = (lo - fan.tx) / direction
+        t_hi = (hi - fan.tx) / direction
+    ends = np.stack([np.minimum(t_lo, t_hi).max(axis=1), np.maximum(t_lo, t_hi).min(axis=1)])
+    inner = (ends >= _CROSS_MARGIN) & (ends <= 1.0 - _CROSS_MARGIN)
+    return (ends[0] <= ends[1]) & inner.any(axis=0)
+
+
 def _scene_verdicts(scene: Scene, fan: _LinkFan) -> tuple[np.ndarray, np.ndarray]:
     """Valid receivers and blocked links of the whole fan, shape (K, R).
 
-    The pairs that survive the culls go through the exact test in batches
-    of at most ``_BATCH_PAIRS``, which bounds its temporaries.
+    With a clearance zone and no terminal below ground, the pairs whose
+    segment crosses the building's surface well inside the link
+    (`_segments_cross_boxes`) block at once. The pairs left go through the
+    exact test in batches of at most ``_BATCH_PAIRS``, which bounds its
+    temporaries, and before each batch the pairs of links already blocked
+    are dropped.
     """
     valid, link, building = _fan_candidates(scene, fan)
     blocked = np.zeros(fan.length.size, dtype=bool)
-    for start in range(0, link.size, _BATCH_PAIRS):
-        batch = slice(start, start + _BATCH_PAIRS)
+    if not fan.geometric and min(fan.tx[2], fan.rx[0, 0, 2]) >= 0.0:
+        blocked[link[_segments_cross_boxes(scene, fan, link, building)]] = True
+    while True:
+        keep = ~blocked[link]
+        link, building = link[keep], building[keep]
+        if not link.size:
+            return valid, blocked.reshape(fan.length.shape)
+        batch = slice(_BATCH_PAIRS)
         blocked[link[batch][_pairs_blocked(scene, fan, link[batch], building[batch])]] = True
-    return valid, blocked.reshape(fan.length.shape)
+        link, building = link[_BATCH_PAIRS:], building[_BATCH_PAIRS:]
 
 
 def realization_scene(
@@ -637,8 +658,10 @@ def estimate_p_los(
     center. Buildings are culled against the corridor of the longest ring,
     for all azimuths in a few array blocks, then per link by bounding
     circle and by roof height (a roof below the cylinder that encloses the
-    clearance zone cannot touch it). Only the buildings of the surviving
-    (link, building) pairs are triangulated, and the pairs go through the
+    clearance zone cannot touch it). With a clearance zone, a surviving
+    (link, building) pair whose segment crosses the box well inside the
+    link blocks at once. The other pairs drop out once their link is
+    blocked; only their buildings are triangulated, and they go through the
     exact test in array batches. The verdicts are those of
     `los_blocked_fresnel` on each link.
 

@@ -289,6 +289,19 @@ class TestParamsForScenario:
         assert calls["n"] == 1  # second call served from the cache
         assert a.d1 > 0 and b.d1 > 0
 
+    def test_height_difference_is_checked_before_training(self, monkeypatch):
+        import a2glos.approx as approx_mod
+        import a2glos.fit as fit_mod
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before delta_h was checked")
+
+        monkeypatch.setattr(fit_mod, "train_pair", no_training)
+        monkeypatch.setattr(approx_mod, "_RETRAINED_CACHE", {})
+        for bad in (0.0, -5.0, math.nan):
+            with pytest.raises(ValueError, match="delta_h must be > 0"):
+                params_for_scenario(get_scenario("urban"), bad, source="retrained")
+
     def test_input_validation(self):
         scenario = get_scenario("urban")
         pair = (reference_mlp("urban", "d1"), reference_mlp("urban", "d2"))

@@ -322,6 +322,24 @@ class TestCompareCommand:
         assert "delta_h must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_retrained_model_at_equal_heights_fails_before_simulating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import a2glos.cli as cli_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before delta_h was checked")
+
+        monkeypatch.setattr(cli_mod, "estimate_p_los", forbidden)
+        monkeypatch.setattr(cli_mod, "train_pair", forbidden)
+        code, out = run_cli(["compare", "--scenario", "urban", "--htx", "2", "--hrx", "2",
+                             "--f-ghz", "28", "--d", "100", "--realizations", "1",
+                             "--links-per-ring", "8", "--models", "analytic,approx-retrained"],
+                            tmp_path)
+        assert code == 2
+        assert "delta_h must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fit_then_compare_workflow(self, tmp_path):
         # model files produced by `fit` feed straight into `compare`
         prefix = tmp_path / "net"

@@ -2,8 +2,11 @@
 
 The files under ``tests/golden`` were written while the estimator still
 culled one azimuth at a time, built every scene from ``Building`` objects
-and ran its realizations in a thread pool. The estimator's verdicts and
-the scene writers must reproduce them exactly.
+and ran its realizations in a thread pool. The dense-urban 30 m at 3 THz
+(a thin clearance zone) and urban 40 m at 2.4 GHz (a wide one) cases were
+added before the estimator settled sure blockages with a segment-box
+crossing. The estimator's verdicts and the scene writers must reproduce
+them exactly.
 """
 
 from pathlib import Path
@@ -20,6 +23,8 @@ CASES = {
                                     "--htx", "60", "--f-ghz", "28"],
     "high-rise-uniform-htx60-finf": ["--scenario", "high-rise", "--layout", "uniform",
                                      "--htx", "60", "--f-inf"],
+    "dense-urban-grid-htx30-f3000": ["--scenario", "dense-urban", "--htx", "30", "--f-ghz", "3000"],
+    "urban-grid-htx40-f2.4": ["--scenario", "urban", "--htx", "40", "--f-ghz", "2.4"],
 }
 
 

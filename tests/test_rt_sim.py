@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import cull_reference
+import dist_reference
 from a2glos import rt_sim
 from a2glos.environment import Environment, get_scenario
 from a2glos.geometry import (
@@ -23,8 +25,10 @@ from a2glos.rt_sim import (
     _fan_candidates,
     _link_fan,
     _mt_batch,
+    _pairs_blocked,
     _point_triangle_dist_sq,
     _scene_verdicts,
+    _segments_cross_boxes,
     _subseed,
     default_extent,
     dump_scene_csv,
@@ -237,6 +241,55 @@ class TestPointTriangleDistance:
         # edge region: closest point mid-edge
         tri = np.array([[[-1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 9.0, 0.0]]])
         assert _point_triangle_dist_sq(tri[:, 0], tri[:, 1], tri[:, 2])[0] == pytest.approx(4.0)
+
+
+class TestDistanceOracle:
+    """`_point_triangle_dist_sq` against the masked-copy reference, bit for bit."""
+
+    @staticmethod
+    def assert_bit_equal(tris):
+        tris = np.asarray(tris, dtype=float)
+        got = _point_triangle_dist_sq(tris[:, 0], tris[:, 1], tris[:, 2])
+        want = dist_reference.point_triangle_dist_sq(tris[:, 0], tris[:, 1], tris[:, 2])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 1000.0])
+    def test_random_triangles(self, scale):
+        rng = np.random.default_rng(int(scale))
+        self.assert_bit_equal(rng.uniform(-scale, scale, (200_000, 3, 3)))
+
+    def test_degenerate_triangles(self):
+        rng = np.random.default_rng(8)
+        a, b, c = rng.uniform(-3.0, 3.0, (3, 5_000, 3))
+        s = rng.uniform(-2.0, 3.0, (5_000, 1))
+        zero = np.zeros_like(a)
+        cases = [
+            (a, a, c),  # A = B: zero AB denominator
+            (a, b, a),  # A = C: zero AC denominator
+            (a, b, b),  # B = C: zero BC denominator
+            (a, a, a),  # one point
+            (a, a + s * (c - a), c),  # collinear: zero face denominator
+            (zero, zero, c),  # coincident vertices at the origin
+            (a, zero, -a),  # collinear through the origin
+        ]
+        for tri in cases:
+            self.assert_bit_equal(np.stack(tri, axis=1))
+
+    def test_mapped_triangles_of_one_fan(self, monkeypatch):
+        seen = []
+        exact = rt_sim._point_triangle_dist_sq
+
+        def spy(a, b, c):
+            seen.append((exact(a, b, c), dist_reference.point_triangle_dist_sq(a, b, c)))
+            return seen[-1][0]
+
+        monkeypatch.setattr(rt_sim, "_point_triangle_dist_sq", spy)
+        d_grid = [50.0 * i for i in range(1, 21)]
+        fan = _link_fan(SPEC28, 500.0, 2.0, d_grid, 72)
+        _scene_verdicts(realization_scene(URBAN, default_extent(d_grid), 1, 0), fan)
+        assert seen
+        for got, want in seen:
+            assert got.tobytes() == want.tobytes()
 
 
 class TestBlockage:
@@ -528,6 +581,142 @@ class TestBatchedVerdicts:
             tris = _candidate_triangles(scene, fan.tx, fan.rx[k, i], fan.clearance[k, i])
             circle += len(tris) // 10
         assert 0 < kept < circle
+
+
+class TestCrossingPreTest:
+    """`_segments_cross_boxes` flags only pairs that the exact test blocks."""
+
+    @staticmethod
+    def flags(scene, fan, spec):
+        """Pre-test flags of every (link, building) pair, shape (links, buildings),
+        each flagged pair checked against `los_blocked_fresnel` on its building
+        alone, and the scene's verdicts against the per-link test."""
+        n = len(scene)
+        link = np.repeat(np.arange(fan.length.size), n)
+        building = np.tile(np.arange(n), fan.length.size)
+        flag = _segments_cross_boxes(scene, fan, link, building).reshape(-1, n)
+        rx = fan.rx.reshape(-1, 3)
+        for i, b in zip(*np.nonzero(flag)):
+            alone = Scene([scene.buildings[b]], extent=scene.extent, seed=0)
+            assert los_blocked_fresnel(alone, fan.tx, rx[i], spec), (i, b)
+        valid, blocked = _scene_verdicts(scene, fan)
+        for k, i in zip(*np.nonzero(valid)):
+            assert blocked[k, i] == los_blocked_fresnel(scene, fan.tx, fan.rx[k, i], spec)
+        return flag
+
+    def test_links_along_the_axes(self):
+        # azimuth 0 has a zero y component; azimuth 90 a tiny x component
+        fan = _link_fan(SPEC28, 60.0, 2.0, [300.0], 4)
+        scene = Scene([
+            Building(150.0, 0.0, 20.0, 40.0),  # across the 0-degree track
+            Building(150.0, 10.0, 20.0, 40.0),  # wall in the plane of that track
+            Building(150.0, 10.5, 20.0, 40.0),  # wall 0.5 m beside it
+            Building(0.0, 150.0, 20.0, 40.0),  # across the 90-degree track
+        ], extent=1000.0, seed=0)
+        flag = self.flags(scene, fan, SPEC28)
+        assert flag[0].tolist() == [True, False, False, False]
+        assert flag[1].tolist() == [False, False, False, True]
+
+    def test_zero_direction_component_needs_the_tx_strictly_inside_the_slab(self):
+        fan = _link_fan(SPEC28, 60.0, 2.0, [300.0], 4)
+        rx = fan.rx.copy()
+        rx[1, 0, 0] = 0.0  # the 90-degree link exactly along the y axis
+        fan = dataclasses.replace(fan, rx=rx)
+        scene = Scene([
+            Building(5.0, 150.0, 20.0, 40.0),  # TX strictly inside the x slab
+            Building(10.0, 150.0, 20.0, 40.0),  # TX on the slab's boundary
+            Building(-10.5, 150.0, 20.0, 40.0),  # TX outside the slab
+        ], extent=1000.0, seed=0)
+        link = np.ones(3, dtype=np.intp)
+        flag = _segments_cross_boxes(scene, fan, link, np.arange(3))
+        assert flag.tolist() == [True, False, False]
+        for b in range(2):
+            alone = Scene([scene.buildings[b]], extent=1000.0, seed=0)
+            assert los_blocked_fresnel(alone, fan.tx, rx[1, 0], SPEC28)
+
+    def test_diagonal_link_through_the_corners(self):
+        # a 45-degree link through a building's vertical corner edges, below
+        # its roof: the segment crosses the box, but Moller-Trumbore misses
+        # both edges, so the zero-wavelength path must not use the pre-test
+        fan = _link_fan(SPEC28, 302.0, 2.0, [300.0], 8)
+        geometric = _link_fan(FresnelSpec(0.0), 302.0, 2.0, [300.0], 8)
+        corner = 80.0 * fan.unit[1]
+        misses = []
+        for roof in range(240, 260):  # 4 to 51 m above the segment
+            scene = Scene([Building(corner[0], corner[1], 20.0, roof)], extent=1000.0, seed=0)
+            assert self.flags(scene, fan, SPEC28)[1, 0]
+            expected = los_blocked_geometric(scene, geometric.tx, geometric.rx[1, 0])
+            valid, blocked = _scene_verdicts(scene, geometric)
+            assert valid.all() and blocked[1, 0] == expected
+            misses.append(not expected)
+        assert any(misses)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-6])
+    def test_receiver_flush_against_a_wall(self, gap):
+        fan = _link_fan(SPEC28, 60.0, 2.0, [300.0], 1)
+        scene = Scene([Building(310.0 + gap, 0.0, 20.0, 40.0)], extent=1000.0, seed=0)
+        assert not self.flags(scene, fan, SPEC28).any()  # the crossing is at t = 1
+        assert los_blocked_fresnel(scene, fan.tx, fan.rx[0, 0], SPEC28)
+        valid, blocked = _scene_verdicts(scene, fan)
+        assert valid[0, 0] == (gap > 0.0) and blocked[0, 0] == valid[0, 0]
+
+    def test_tx_inside_overlapping_uniform_buildings(self):
+        fan = _link_fan(SPEC28, 60.0, 2.0, [100.0, 300.0], 8)
+        scene = Scene([
+            Building(0.0, 0.0, 20.0, 80.0),  # holds the TX
+            Building(8.0, 3.0, 20.0, 70.0),  # overlaps it, and holds the TX too
+            Building(-9.9995, 0.0, 20.0, 80.0),  # its wall 0.5 mm from the TX
+        ], extent=1000.0, seed=0)
+        flag = self.flags(scene, fan, SPEC28)
+        assert flag[:, :2].all()  # every link leaves through their walls
+        assert not flag[0, 2] and not flag[1, 2]  # too near the TX on the 0-degree links
+
+    def test_no_verdict_for_a_receiver_below_ground(self):
+        # the segment leaves the TX's building through its floor, which has
+        # no triangles, and passes under its wall
+        fan = _link_fan(SPEC28, 60.0, -30.0, [300.0], 1)
+        scene = Scene([Building(0.0, 0.0, 500.0, 80.0)], extent=1000.0, seed=0)
+        assert not los_blocked_fresnel(scene, fan.tx, fan.rx[0, 0], SPEC28)
+        valid, blocked = _scene_verdicts(scene, fan)
+        assert valid[0, 0] and not blocked[0, 0]
+
+    @pytest.mark.parametrize("h_tx, h_rx, edge", [(2.0, 60.0, 140.0), (60.0, 2.0, 160.0)])
+    def test_link_grazing_a_roof_edge(self, h_tx, h_rx, edge):
+        fan = _link_fan(SPEC28, h_tx, h_rx, [300.0], 1)
+        roof = h_tx + (h_rx - h_tx) * edge / 300.0
+        for height in (roof - 1e-9, roof, roof + 1e-9):
+            scene = Scene([Building(150.0, 0.0, 20.0, height)], extent=1000.0, seed=0)
+            self.flags(scene, fan, SPEC28)
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_thinnest_zone_at_order_three(self, seed):
+        spec = FresnelSpec(wavelength_from_frequency(3000e9), order=3)
+        d_grid = TestBatchedVerdicts.D_GRID
+        fan = _link_fan(spec, 30.0, 2.0, d_grid, 24)
+        scene = realization_scene(get_scenario("dense-urban").env, default_extent(d_grid),
+                                  seed, 0)
+        valid, link, building = _fan_candidates(scene, fan)
+        flag = _segments_cross_boxes(scene, fan, link, building)
+        assert flag.any() and _pairs_blocked(scene, fan, link[flag], building[flag]).all()
+        valid, blocked = _scene_verdicts(scene, fan)
+        for k, i in zip(*np.nonzero(valid)):
+            assert blocked[k, i] == los_blocked_fresnel(scene, fan.tx, fan.rx[k, i], spec)
+
+    @pytest.mark.parametrize(
+        "scenario, layout, h_tx",
+        [("urban", "grid", 500.0), ("urban", "grid", 40.0), ("high-rise", "uniform", 60.0)],
+    )
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    def test_never_flags_a_pair_the_exact_test_clears(self, scenario, layout, h_tx, seed):
+        # the clearance configurations of TestBatchedVerdicts
+        d_grid = TestBatchedVerdicts.D_GRID
+        fan = _link_fan(SPEC28, h_tx, 2.0, d_grid, TestBatchedVerdicts.LINKS_PER_RING)
+        for r in range(TestBatchedVerdicts.REALIZATIONS):
+            scene = realization_scene(get_scenario(scenario).env, default_extent(d_grid), seed,
+                                      r, layout=layout)
+            _, link, building = _fan_candidates(scene, fan)
+            flag = _segments_cross_boxes(scene, fan, link, building)
+            assert _pairs_blocked(scene, fan, link[flag], building[flag]).all()
 
 
 class TestSubseed:
