@@ -7,11 +7,11 @@ computation, yielding a (delta_h -> D1, D2) dataset.
 
 Stage 2 (:func:`train`): train one small network per parameter on that
 dataset by full-batch gradient descent on a mean-square-error cost with an
-optional quadratic weight penalty. A 70/30 random split provides the
-validation set; the epoch with the best validation RMSE wins. The networks
-train in lockstep: every step evaluates all of them, on the training and
-the validation rows, in one pass, while each keeps its own learning rate,
-step halving, stop and best epoch.
+optional quadratic weight penalty. The networks train in lockstep: every
+step evaluates all of them on the training rows in one pass, while each
+keeps its own learning rate, step halving and stop. A 70/30 random split
+provides the validation set; it stays out of the steps, and each network's
+epoch with the best validation RMSE, found in blocks of accepted epochs, wins.
 
 Evaluation (:func:`rmse`, :func:`approx_vs_analytic_error`) calls the
 networks and the curve once each over whole arrays, through the kernels of
@@ -331,58 +331,77 @@ def split_dataset(ds: FitDataset, seed: int) -> tuple[FitDataset, FitDataset]:
 
 # --- network internals ----------------------------------------------------
 
+#: Accepted parameter rows per network that one validation pass covers.
+_VAL_BLOCK = 1024
 
-def _evaluate(theta, x, t, eta):
-    """Cost, gradient and outputs of K stacked networks in one pass.
 
-    ``theta`` holds one (w1 | b1 | w2 | b2) block per network, shape
-    (K, 3J+1). Every row of ``x`` (M,) goes through the forward pass; the
-    cost and the gradient are taken over the first N, against ``t`` (K, N).
-    Each network keeps the memory layout and the operations it would have
-    alone (K = 1), products and reductions included, so stacking changes
-    no bit. The caller silences exp overflow.
+class _Params:
+    """Rows (w1 | b1 | w2 | b2) of K networks, a gradient of that shape, and their views."""
 
-    Returns the costs (a list of K floats), the gradient blocks (K, 3J+1)
-    and the outputs (K, M).
-    """
-    j = theta.shape[1] // 3
-    n = t.shape[1]
-    w1, b1, w2 = theta[:, None, :j], theta[:, None, j:2 * j], theta[:, None, 2 * j:3 * j]
-    hidden = x[:, None] * w1  # (K, M, J)
-    hidden += b1
+    def __init__(self, theta):
+        j, g = theta.shape[1] // 3, np.empty_like(theta)
+        self.theta, self.grad = theta, g
+        self.w1, self.b1, self.w2, self.b2 = (theta[:, None, a:a + j] for a in range(0, 4 * j, j))
+        self.w2_col, self.g_w2 = (a[:, 2 * j:3 * j, None] for a in (theta, g))
+        self.g_w1, self.g_b1, self.g_b2 = g[:, :j], g[:, j:2 * j], g[:, 3 * j]
+
+
+def _forward(p, x, hidden, y):
+    """Outputs into ``y`` (K, M, 1) and activations into ``hidden`` (K, M, J) at ``x`` (M,)."""
+    np.multiply(x[:, None], p.w1, out=hidden)
+    hidden += p.b1
     np.negative(hidden, out=hidden)
     np.exp(hidden, out=hidden)
     hidden += 1.0
     np.divide(1.0, hidden, out=hidden)
-    h = hidden[:, :n]
-    w2_col = w2.transpose(0, 2, 1)
-    y = np.empty((len(theta), len(x), 1))
-    np.matmul(h, w2_col, out=y[:, :n])
-    np.matmul(hidden[:, n:], w2_col, out=y[:, n:])
-    y = y[:, :, 0]
-    y += theta[:, 3 * j:]
-    err = y[:, :n] - t
-    sq = np.matmul(err[:, None, :], err[:, :, None]).ravel().tolist()
-    if eta:
-        pen = (np.matmul(w1, w1.transpose(0, 2, 1)).ravel().tolist(),
-               np.matmul(w2, w2_col).ravel().tolist())
-        cost = [s / n + 0.5 * eta * (p1 + p2) for s, p1, p2 in zip(sq, *pen)]
-    else:  # a zero penalty adds nothing
-        cost = [s / n for s in sq]
-    dy = np.multiply(err, 2.0, out=err)
-    dy /= n
-    grad = np.empty_like(theta)
-    np.matmul(h.transpose(0, 2, 1), dy[:, :, None], out=grad[:, 2 * j:3 * j, None])
-    np.add.reduce(dy, axis=1, out=grad[:, 3 * j])
-    dhidden = dy[:, :, None] * w2  # (K, N, J)
-    dhidden *= h
-    dhidden *= 1.0 - h
-    np.matmul(x[:n], dhidden, out=grad[:, :j])
-    np.add.reduce(dhidden, axis=1, out=grad[:, j:2 * j])
-    if eta:
-        grad[:, :j] += eta * theta[:, :j]
-        grad[:, 2 * j:3 * j] += eta * theta[:, 2 * j:3 * j]
-    return cost, grad, y
+    np.matmul(hidden, p.w2_col, out=y)
+    y += p.b2
+
+
+def _evaluator(x, t, eta, j):
+    """Cost and gradient of K stacked networks at the inputs ``x`` (N,) against
+    ``t`` (K, N), on buffers allocated once: the function returned fills the
+    gradient of a :class:`_Params` and returns the K costs. Each network keeps
+    the layout and operations it has alone (K = 1), so stacking changes no bit."""
+    n = t.shape[1]
+    hidden, dhidden, slope = (np.empty(t.shape + (j,)) for _ in range(3))
+    dy = np.empty(t.shape + (1,))  # the outputs, then the errors, then d cost / d y
+    err, err_row, hidden_t = dy[:, :, 0], dy.transpose(0, 2, 1), hidden.transpose(0, 2, 1)
+
+    def evaluate(p):
+        _forward(p, x, hidden, dy)
+        np.subtract(err, t, out=err)
+        sq = np.matmul(err_row, dy).ravel().tolist()
+        if eta:
+            pen = (np.matmul(p.w1, p.w1.transpose(0, 2, 1)).ravel().tolist(),
+                   np.matmul(p.w2, p.w2_col).ravel().tolist())
+            cost = [s / n + 0.5 * eta * (p1 + p2) for s, p1, p2 in zip(sq, *pen)]
+        else:  # a zero penalty adds nothing
+            cost = [s / n for s in sq]
+        np.multiply(dy, 2.0, out=dy)
+        np.divide(dy, n, out=dy)
+        np.matmul(hidden_t, dy, out=p.g_w2)
+        np.add.reduce(err, axis=1, out=p.g_b2)
+        np.multiply(dy, p.w2, out=dhidden)
+        np.multiply(dhidden, hidden, out=dhidden)
+        np.multiply(dhidden, np.subtract(1.0, hidden, out=slope), out=dhidden)
+        np.matmul(x, dhidden, out=p.g_w1)
+        np.add.reduce(dhidden, axis=1, out=p.g_b1)
+        if eta:
+            p.g_w1 += eta * p.w1[:, 0]
+            p.g_w2 += eta * p.w2_col
+        return cost
+
+    return evaluate
+
+
+def _val_rmse(rows, x, lo, span, target):
+    """RMSE [m] against ``target`` of one network at each parameter row (B,
+    3J+1), in one forward pass over ``x`` (M,), outputs scaled back by ``span`` and ``lo``."""
+    y = np.empty((len(rows), len(x), 1))
+    _forward(_Params(rows), x, np.empty((len(rows), len(x), rows.shape[1] // 3)), y)
+    err = y[:, :, 0] * span + lo - target
+    return np.sqrt(np.add.reduce(err * err, axis=1) / len(x))
 
 
 def cost_and_gradient(w1, b1, w2, b2, x, t, eta):
@@ -392,14 +411,11 @@ def cost_and_gradient(w1, b1, w2, b2, x, t, eta):
     no penalty. Returns (cost, (gw1, gb1, gw2, gb2)). This is the
     single-network view of the evaluator that :func:`train` runs.
     """
-    w1 = np.asarray(w1, dtype=float)
     j = len(w1)
-    theta = np.concatenate([w1, np.asarray(b1, dtype=float),
-                            np.asarray(w2, dtype=float), [float(b2)]])[None]
+    p = _Params(np.concatenate([w1, b1, w2, [float(b2)]], dtype=float)[None])
     with np.errstate(over="ignore"):
-        cost, grad, _ = _evaluate(theta, np.asarray(x, dtype=float),
-                                  np.asarray(t, dtype=float)[None], eta)
-    g = grad[0]
+        cost = _evaluator(np.asarray(x, dtype=float), np.asarray(t, dtype=float)[None], eta, j)(p)
+    g = p.grad[0]
     return cost[0], (g[:j], g[j:2 * j], g[2 * j:3 * j], float(g[3 * j]))
 
 
@@ -409,14 +425,17 @@ def train(
     """Train one network per target ('d1', 'd2') mapping delta_h to it.
 
     The networks share the split and the input normalization and train in
-    lockstep: each step evaluates all of them, training and validation
-    rows together, in one pass. Per network the rules are those of
-    full-batch gradient descent with a safeguard: a step that would raise
-    the training cost is undone and that network's learning rate halved,
-    so its cost never increases between epochs; below a learning rate of
-    1e-15 it stops, and the others go on. Each returned model is its
-    network's epoch with the lowest validation RMSE. Raises on divergence
-    (non-finite cost), naming the target and its learning rate.
+    lockstep: each step evaluates all of them on the training rows in one
+    pass. Per network the rules are those of full-batch gradient descent
+    with a safeguard: a step that would raise the training cost is undone
+    and that network's learning rate halved, so its cost never increases
+    between epochs; below a learning rate of 1e-15 it stops, and the others
+    go on. Each returned model is its network's epoch with the lowest
+    validation RMSE (the initial weights count, the earliest of equal ones
+    wins, a NaN never does). Validation is not part of a step: a network's
+    accepted parameters fill blocks of _VAL_BLOCK rows, each validated, as
+    is the last part-filled one, in one batched forward pass. Raises on
+    divergence (non-finite cost), naming the target and its learning rate.
 
     Returns one model per target, in order.
     """
@@ -440,37 +459,33 @@ def train(
     span = hi - lo
     t = (columns - lo) / span
     tv_raw = np.array([val_ds.column(target) for target in targets])
-    # training rows first, then the validation rows, in one forward pass
-    x = (np.concatenate([train_ds.delta_h, val_ds.delta_h]) - in_lo) / (in_hi - in_lo)
-    n_train, n_val = t.shape[1], tv_raw.shape[1]
+    x, xv = ((part.delta_h - in_lo) / (in_hi - in_lo) for part in (train_ds, val_ds))
 
-    def val_rmse(y):
-        pred = y[:, n_train:] * span
-        pred += lo
-        pred -= tv_raw
-        np.square(pred, out=pred)
-        return [math.sqrt(s / n_val) for s in np.add.reduce(pred, axis=1).tolist()]
-
-    j = cfg.hidden_neurons
+    j, k = cfg.hidden_neurons, len(targets)
     rng = np.random.default_rng([cfg.split_seed, 1])
-    w1 = rng.uniform(-0.5, 0.5, j)
-    b1 = rng.uniform(-0.5, 0.5, j)
-    w2 = rng.uniform(-0.5, 0.5, j)
-    b2 = rng.uniform(-0.5, 0.5)
-    theta = np.tile(np.concatenate([w1, b1, w2, [b2]]), (len(targets), 1))
-    lr = np.full((len(targets), 1), float(cfg.learning_rate))
-    epochs_left = [cfg.epochs] * len(targets)
+    init = [rng.uniform(-0.5, 0.5, j) for _ in range(3)] + [[rng.uniform(-0.5, 0.5)]]  # w1 b1 w2, b2
+    cur, nxt = (_Params(np.tile(np.concatenate(init), (k, 1))) for _ in range(2))
+    evaluate = _evaluator(x, t, cfg.eta, j)
+    lr = np.full((k, 1), float(cfg.learning_rate))
+    epochs_left = [cfg.epochs] * k
+    block, filled = np.empty((k, _VAL_BLOCK, cur.theta.shape[1])), [0] * k
+
+    def validate(i):  # a row wins by a strictly lower RMSE: never a NaN, the first of equals
+        rows, filled[i] = block[i, :filled[i]], 0
+        r = _val_rmse(rows, xv, lo[i], span[i], tv_raw[i])
+        m = int(np.argmin(np.where(r < best_rmse[i], r, np.inf)))
+        if r[m] < best_rmse[i]:
+            best_rmse[i], best[i] = r[m], rows[m]
 
     with np.errstate(over="ignore"):
-        cost, grad, y = _evaluate(theta, x, t, cfg.eta)
-        best_rmse = val_rmse(y)
-        best = theta.copy()
-        active = list(range(len(targets)))
+        cost = evaluate(cur)
+        best = cur.theta.copy()
+        best_rmse = [_val_rmse(best[i:i + 1], xv, lo[i], span[i], tv_raw[i])[0] for i in range(k)]
+        active = list(range(k))
         while active:
-            step = lr * grad
-            cand = np.subtract(theta, step, out=step)
-            new_cost, new_grad, y = _evaluate(cand, x, t, cfg.eta)
-            rmse_now = val_rmse(y)
+            np.multiply(lr, cur.grad, out=nxt.theta)
+            np.subtract(cur.theta, nxt.theta, out=nxt.theta)
+            new_cost = evaluate(nxt)
             accepted, still = [], []
             for i in active:
                 c = new_cost[i]
@@ -484,9 +499,10 @@ def train(
                 if c <= cost[i]:
                     accepted.append(i)
                     cost[i] = c
-                    if rmse_now[i] < best_rmse[i]:
-                        best_rmse[i] = rmse_now[i]
-                        best[i] = cand[i]
+                    block[i, filled[i]] = nxt.theta[i]
+                    filled[i] += 1
+                    if filled[i] == _VAL_BLOCK:
+                        validate(i)
                     epochs_left[i] -= 1
                     if epochs_left[i]:
                         still.append(i)
@@ -495,12 +511,15 @@ def train(
                     # below this the cost is at a numerical floor: stop
                     if lr[i, 0] >= 1e-15:
                         still.append(i)
-            if len(accepted) == len(targets):
-                theta, grad = cand, new_grad
+            if len(accepted) == k:  # swap the buffers, do not copy them
+                cur, nxt = nxt, cur
             else:
                 for i in accepted:
-                    theta[i], grad[i] = cand[i], new_grad[i]
+                    cur.theta[i], cur.grad[i] = nxt.theta[i], nxt.grad[i]
             active = still
+        for i in range(k):
+            if filled[i]:
+                validate(i)
 
     return [
         Mlp(

@@ -26,10 +26,10 @@ class LinkGeometry:
     d_rx: float  # horizontal TX-RX distance [m]
 
     def __post_init__(self) -> None:
-        if not self.h_tx > 0.0:
-            raise ValueError(f"h_tx must be > 0, got {self.h_tx}")
-        if not self.h_rx >= 0.0:
-            raise ValueError(f"h_rx must be >= 0, got {self.h_rx}")
+        if not 0.0 < self.h_tx < math.inf:
+            raise ValueError(f"h_tx must be > 0 and finite, got {self.h_tx}")
+        if not 0.0 <= self.h_rx < math.inf:
+            raise ValueError(f"h_rx must be >= 0 and finite, got {self.h_rx}")
         if not self.d_rx > 0.0:
             raise ValueError(f"d_rx must be > 0, got {self.d_rx}")
         if not self.h_tx >= self.h_rx:

@@ -29,7 +29,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .environment import Environment, mean_width
-from .geometry import FresnelSpec, fresnel_axes
+from .geometry import FresnelSpec, LinkGeometry, fresnel_axes
 # perfbench/tracing.py wraps worker_count here by name; the estimator has no pool.
 from .workers import worker_count  # noqa: F401
 
@@ -677,6 +677,7 @@ def estimate_p_los(
         raise ValueError("distance grid is empty")
     if min(distances) <= 0.0:
         raise ValueError("distances must be > 0")
+    LinkGeometry(h_tx, h_rx, min(distances))  # the height rules of a link
     if extent is None:
         extent = default_extent(distances)
     if max(distances) > extent / 2.0:

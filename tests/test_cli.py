@@ -224,6 +224,15 @@ class TestSimulateCommand:
         assert "elevation angle must be in (0, pi/2]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_receiver_below_ground_is_a_usage_error(self, tmp_path, capsys, command):
+        code, out = run_cli([command, "--scenario", "urban", "--htx", "100", "--hrx", "-30",
+                             "--f-ghz", "28", "--d", "50:100:50", "--realizations", "1",
+                             "--links-per-ring", "8"], tmp_path)
+        assert code == 2
+        assert "h_rx must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_elevation_mode(self, tmp_path):
         code, out = run_cli(
             ["simulate", "--scenario", "urban", "--htx", "120", "--hrx", "2",

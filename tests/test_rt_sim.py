@@ -60,16 +60,14 @@ def solve_oracle(origin, direction, tri):
 
 
 def brute_distance_to_origin(tri, steps=400):
-    """Dense barycentric sampling of the triangle; lower bound on distance."""
+    """Least distance over a dense barycentric sampling of the triangle: an
+    upper bound on the exact distance, since every sample lies on it."""
     a, b, c = (np.asarray(v, dtype=float) for v in tri)
-    best = math.inf
-    for i in range(steps + 1):
-        for j in range(steps + 1 - i):
-            u = i / steps
-            v = j / steps
-            p = a + u * (b - a) + v * (c - a)
-            best = min(best, float(p @ p))
-    return math.sqrt(best)
+    i, j = np.divmod(np.arange((steps + 1) ** 2), steps + 1)
+    keep = i + j <= steps
+    u, v = i[keep, None] / steps, j[keep, None] / steps
+    p = a + u * (b - a) + v * (c - a)
+    return math.sqrt(float(np.min(np.einsum("ij,ij->i", p, p))))
 
 
 class TestTypes:
@@ -433,6 +431,19 @@ class TestEstimate:
             estimate_p_los(URBAN, SPEC28, 120.0, 2.0, [100.0], realizations=0, links_per_ring=8, seed=0)
         with pytest.raises(ValueError):
             estimate_p_los(URBAN, SPEC28, 120.0, 2.0, [-5.0], realizations=1, links_per_ring=8, seed=0)
+
+    @pytest.mark.parametrize("h_tx, h_rx, message", [
+        (100.0, -30.0, "h_rx must be >= 0"),
+        (2.0, 5.0, "must not be below h_rx"),
+        (0.0, 0.0, "h_tx must be > 0"),
+        (math.inf, 2.0, "h_tx must be > 0 and finite"),
+        (100.0, math.nan, "h_rx must be >= 0 and finite"),
+    ])
+    def test_terminal_heights_follow_the_link_rules(self, h_tx, h_rx, message):
+        # the rules of LinkGeometry, checked before any scene is built
+        with pytest.raises(ValueError, match=message):
+            estimate_p_los(URBAN, SPEC28, h_tx, h_rx, [50.0, 100.0],
+                           realizations=1, links_per_ring=8, seed=0)
 
 
 class TestFanCull:

@@ -6,12 +6,16 @@ must return the same models bit for bit (``==`` on the frozen ``Mlp``).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import train_reference as reference
-from a2glos.fit import FitDataset, FitRecord, TrainConfig, _evaluate, cost_and_gradient, train
+from a2glos import fit
+from a2glos.fit import (
+    FitDataset, FitRecord, TrainConfig, _Params, _evaluator, _forward, _val_rmse, cost_and_gradient, train,
+)
 from test_fit import make_dataset, linear_records
 
 DHS = np.linspace(30.0, 900.0, 20)
@@ -82,6 +86,73 @@ class TestLockstepMatchesReference:
         assert train(ds, ("d2", "d1"), cfg) == [d2, d1]
 
 
+class TestLockstepAcrossBlockEdges(TestLockstepMatchesReference):
+    """Every comparison above again, with validation blocks of 7 rows: the
+    best epochs and the stops at the rate floor then fall inside blocks and
+    on their edges."""
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_seven(self, monkeypatch):
+        monkeypatch.setattr(fit, "_VAL_BLOCK", 7)
+
+    @pytest.mark.parametrize("block", [1, 2, 13, 14, 15])
+    def test_best_epoch_at_each_place_in_a_block(self, monkeypatch, block):
+        # d2's best epoch is its 14th accepted step (see rise_and_vee): a
+        # block of its own, the last row of a block (2, 14), the first (13)
+        # and the second to last (15).
+        monkeypatch.setattr(fit, "_VAL_BLOCK", block)
+        assert_matches_reference(
+            rise_and_vee(), TrainConfig(epochs=300, learning_rate=500.0, split_seed=3)
+        )
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("rmse, best", [
+    ([5.0, 4.0, NAN, 3.0, 3.0, 6.0, 2.5, 2.5, NAN, 2.5], 6),  # ties across edges keep the first
+    ([5.0, 3.0, 3.0, 4.0], 1),  # a tie inside a block keeps the first
+    ([1.0, 2.0, 3.0, 4.0, 5.0], 0),  # the initial weights count
+    ([5.0, NAN, NAN, NAN], 0),  # a NaN never wins
+    ([NAN, 1.0, 2.0, 0.5], 0),  # a NaN at the start is never beaten, as in the reference
+])
+def test_best_epoch_rule_over_blocks(monkeypatch, block, rmse, best):
+    # Validation RMSE by accepted epoch (0: the initial weights) is set by
+    # hand; the model returned must be the parameter row of epoch `best`.
+    rows_seen = []
+
+    def fake_val_rmse(rows, *args):
+        rows_seen.extend(rows.copy())
+        return np.array(rmse[len(rows_seen) - len(rows):len(rows_seen)])
+
+    monkeypatch.setattr(fit, "_VAL_BLOCK", block)
+    monkeypatch.setattr(fit, "_val_rmse", fake_val_rmse)
+    cfg = TrainConfig(epochs=len(rmse) - 1, split_seed=3)
+    (model,) = train(rise_and_vee(), ("d1",), cfg)
+    assert len(rows_seen) == len(rmse)
+    assert len({row.tobytes() for row in rows_seen}) == len(rmse)  # every epoch moved
+    j = cfg.hidden_neurons
+    assert model.input_weights == tuple(rows_seen[best][:j].tolist())
+    assert model.output_bias == rows_seen[best][3 * j]
+
+
+def test_training_memory_does_not_grow_with_epochs():
+    # Validation holds one block of rows per network, not one row per epoch:
+    # keeping every row would add 18,000 x 2 rows of 13 floats (3.7 MB) here.
+    ds = rise_and_vee()
+    train(ds, ("d1", "d2"), TrainConfig(epochs=50, split_seed=3))  # first-call allocations
+    peaks = []
+    for epochs in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            train(ds, ("d1", "d2"), TrainConfig(epochs=epochs, split_seed=3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 65_536
+
+
 class TestLockstepErrors:
     def test_diverging_network_names_itself_and_its_own_rate(self, monkeypatch):
         # d2 has an infinite training target, so its cost is NaN at the
@@ -126,23 +197,43 @@ class TestEvaluatorMatchesReference:
 
     @pytest.mark.parametrize("eta", [0.0, 0.3])
     def test_every_stacked_row(self, eta):
-        # K networks side by side, with validation rows after the training
-        # rows: each row's cost, gradient and outputs are the reference's.
+        # K networks side by side over the training rows: each row's cost
+        # and gradient are the reference's. The same evaluator is called
+        # twice, so its reused buffers carry nothing over.
         rng = np.random.default_rng(5)
         for _ in range(20):
-            k, j = int(rng.integers(1, 4)), int(rng.integers(1, 6))
-            n, n_val = int(rng.integers(3, 80)), int(rng.integers(1, 40))
-            theta = rng.normal(0, 2, (k, 3 * j + 1))
-            x = rng.uniform(0, 1, n + n_val)
-            t = rng.uniform(0, 1, (k, n))
+            k, j, n = int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(3, 80))
+            x, t = rng.uniform(0, 1, n), rng.uniform(0, 1, (k, n))
+            evaluate = _evaluator(x, t, eta, j)
+            for _ in range(2):
+                p = _Params(rng.normal(0, 2, (k, 3 * j + 1)))
+                with np.errstate(over="ignore"):
+                    cost = evaluate(p)
+                for i in range(k):
+                    w1, b1, w2 = p.theta[i, :j], p.theta[i, j:2 * j], p.theta[i, 2 * j:3 * j]
+                    b2 = float(p.theta[i, 3 * j])
+                    ref_cost, ref_grads = reference.cost_and_gradient(w1, b1, w2, b2, x, t[i], eta)
+                    assert cost[i] == ref_cost
+                    assert np.array_equal(p.grad[i], np.concatenate([*ref_grads[:3], [ref_grads[3]]]))
+
+    def test_batched_validation_pass(self):
+        # B parameter rows of one network over the validation rows, in one
+        # pass: each row's activations, outputs and RMSE are those the
+        # reference computes for that epoch alone.
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            b, j, m = int(rng.integers(1, 50)), int(rng.integers(1, 6)), int(rng.integers(1, 40))
+            rows = rng.normal(0, 2, (b, 3 * j + 1))
+            xv, tv_raw = rng.uniform(0, 1, m), rng.uniform(10, 900, m)
+            out_lo, out_hi = float(rng.uniform(0, 10)), float(rng.uniform(20, 1000))
+            hidden, y = np.empty((b, m, j)), np.empty((b, m, 1))
             with np.errstate(over="ignore"):
-                cost, grad, y = _evaluate(theta, x, t, eta)
-            for i in range(k):
-                w1, b1, w2 = theta[i, :j], theta[i, j:2 * j], theta[i, 2 * j:3 * j]
-                b2 = float(theta[i, 3 * j])
-                ref_cost, ref_grads = reference.cost_and_gradient(w1, b1, w2, b2, x[:n], t[i], eta)
-                assert cost[i] == ref_cost
-                assert np.array_equal(grad[i], np.concatenate([*ref_grads[:3], [ref_grads[3]]]))
-                _, ref_y = reference._forward(w1, b1, w2, b2, x[:n])
-                _, ref_yv = reference._forward(w1, b1, w2, b2, x[n:])
-                assert np.array_equal(y[i], np.concatenate([ref_y, ref_yv]))
+                _forward(_Params(rows), xv, hidden, y)
+                got = _val_rmse(rows, xv, np.array([out_lo]), np.array([out_hi - out_lo]), tv_raw)
+            for r in range(b):
+                w1, b1, w2, b2 = rows[r, :j], rows[r, j:2 * j], rows[r, 2 * j:3 * j], float(rows[r, 3 * j])
+                ref_hidden, yv = reference._forward(w1, b1, w2, b2, xv)
+                assert np.array_equal(hidden[r], ref_hidden)
+                assert np.array_equal(y[r, :, 0], yv)
+                pred = yv * (out_hi - out_lo) + out_lo
+                assert got[r] == float(np.sqrt(np.mean((pred - tv_raw) ** 2)))
