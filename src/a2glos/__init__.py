@@ -45,7 +45,6 @@ from .approx import (
     load_mlp,
     mlp_forward,
     p_los_approx,
-    params_for_scenario,
     save_mlp,
 )
 from .fit import (
@@ -55,7 +54,6 @@ from .fit import (
     build_dataset,
     load_dataset,
     rmse,
-    save_dataset,
     split_dataset,
     train,
     train_pair,
@@ -63,14 +61,11 @@ from .fit import (
 from .rt_sim import (
     Building,
     PLosEstimate,
-    Ray,
     Scene,
-    Triangle,
     dump_scene_csv,
     estimate_p_los,
     los_blocked_fresnel,
     los_blocked_geometric,
-    ray_triangle_intersect,
     synthesize_scene,
 )
 
@@ -106,7 +101,6 @@ __all__ = [
     "load_mlp",
     "mlp_forward",
     "p_los_approx",
-    "params_for_scenario",
     "save_mlp",
     "FitDataset",
     "FitRecord",
@@ -114,20 +108,16 @@ __all__ = [
     "build_dataset",
     "load_dataset",
     "rmse",
-    "save_dataset",
     "split_dataset",
     "train",
     "train_pair",
     "Building",
     "PLosEstimate",
-    "Ray",
     "Scene",
-    "Triangle",
     "dump_scene_csv",
     "estimate_p_los",
     "los_blocked_fresnel",
     "los_blocked_geometric",
-    "ray_triangle_intersect",
     "synthesize_scene",
     "__version__",
 ]

@@ -166,10 +166,6 @@ def max_comm_distance(
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-
-    def p_at(d: float) -> float:
-        return p_los(LinkGeometry(h_tx, h_rx, d), env, spec, width=width)
-
     last = math.floor(max_distance)
     for start in range(1, last + 1, _MCD_CHUNK):
         ds = np.arange(start, min(start + _MCD_CHUNK, last + 1), dtype=float)
@@ -180,15 +176,18 @@ def max_comm_distance(
     else:
         return None
     lo = hi - 1.0
-    # Bisect the bracketing step; lo == 0.0 only if P < threshold at 1 m,
-    # which cannot happen (no building is expected at sub-metre range).
-    while hi - lo > 0.1:
-        mid = 0.5 * (lo + hi)
-        if mid <= 0.0 or p_at(mid) >= threshold:
-            lo = mid
+    # Bisect the bracketing metre [lo + a/16, lo + b/16]. Every midpoint down
+    # to 0.1 m is a sixteenth of it, exact in floats, so one call evaluates
+    # the 15 interior sixteenths and the halving walks over the results.
+    p = p_los_curve(h_tx, h_rx, lo + np.arange(1, 16) / 16.0, env, spec, width)
+    a, b = 0, 16
+    while (b - a) / 16.0 > 0.1:
+        mid = (a + b) // 2
+        if p[mid - 1] >= threshold:
+            a = mid
         else:
-            hi = mid
-    return lo
+            b = mid
+    return lo + a / 16.0
 
 
 def p_los_vs_elevation(

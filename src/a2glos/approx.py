@@ -6,11 +6,11 @@ The 3GPP-style two-parameter model
 
 is exact to 1 up to the breakpoint distance D1 and decays with constant D2
 beyond it. To make (D1, D2) altitude-dependent, a single-hidden-layer
-network maps the transceiver height difference to each parameter. Networks
-retrained against the analytic model (see the `fit` module) are the default
-source; a set of reference weight tables for the four standard scenarios is
-also bundled, but their original normalization convention is unknown, so
-their outputs are best-effort only and flagged with a warning.
+network maps the transceiver height difference to each parameter. The `fit`
+module trains such networks against the analytic model. Reference weight
+tables for the four standard scenarios are also bundled
+(:func:`reference_mlp`), but their original normalization convention is
+unknown, so their outputs are best-effort only.
 
 Two array kernels carry the model, :func:`mlp_forward` over height
 differences and :func:`p_los_approx` over distances and (D1, D2); scalars
@@ -21,7 +21,6 @@ gets (D1, D2) from :func:`network_params`, which holds the 1 mm floor.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
@@ -29,7 +28,7 @@ from typing import IO, Iterable
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .environment import ScenarioPreset
+from .environment import canonical_name
 
 __all__ = [
     "ApproxParams",
@@ -40,7 +39,6 @@ __all__ = [
     "mlp_forward",
     "network_params",
     "p_los_approx",
-    "params_for_scenario",
     "reference_mlp",
     "save_mlp",
     "load_mlp",
@@ -155,6 +153,7 @@ def check_delta_h(delta_h: ArrayLike) -> np.ndarray:
 # --- plain-text serialization -------------------------------------------
 
 _TAGS = ("iw", "ib", "ow", "ob", "inorm", "onorm")
+_ARITY = {"ob": 1, "inorm": 2, "onorm": 2}  # values per tag of fixed length
 
 
 def save_mlp(mlp: Mlp, path: str | Path | IO[str]) -> None:
@@ -179,7 +178,8 @@ def save_mlp(mlp: Mlp, path: str | Path | IO[str]) -> None:
 
 
 def load_mlp(path: str | Path | IO[str]) -> Mlp:
-    """Read a network written by :func:`save_mlp`."""
+    """Read a network written by :func:`save_mlp`. ValueError names the tag
+    that is unknown, repeated, missing or of the wrong length."""
     if hasattr(path, "read"):
         text = path.read()
     else:
@@ -192,18 +192,21 @@ def load_mlp(path: str | Path | IO[str]) -> Mlp:
         tag, *values = line.split()
         if tag not in _TAGS:
             raise ValueError(f"unknown tensor tag {tag!r}")
+        if tag in fields:
+            raise ValueError(f"tensor tag {tag!r} is repeated")
+        if tag in _ARITY and len(values) != _ARITY[tag]:
+            raise ValueError(f"tensor tag {tag!r} takes {_ARITY[tag]} value(s), got {len(values)}")
         fields[tag] = tuple(float(v) for v in values)
     missing = [t for t in _TAGS if t not in fields]
     if missing:
         raise ValueError(f"model file lacks tensors: {', '.join(missing)}")
-    (ob,) = fields["ob"]
     return Mlp(
         input_weights=fields["iw"],
         input_biases=fields["ib"],
         output_weights=fields["ow"],
-        output_bias=ob,
-        input_norm=(fields["inorm"][0], fields["inorm"][1]),
-        output_norm=(fields["onorm"][0], fields["onorm"][1]),
+        output_bias=fields["ob"][0],
+        input_norm=fields["inorm"],
+        output_norm=fields["onorm"],
     )
 
 
@@ -284,8 +287,6 @@ def reference_mlp(scenario_name: str, parameter: str) -> Mlp:
     and the normalization ranges are this package's convention (see
     REFERENCE_NORM_RANGE), so outputs are indicative, not ground truth.
     """
-    from .environment import canonical_name
-
     wanted = canonical_name(scenario_name)
     for name, params in _REFERENCE_WEIGHTS.items():
         if canonical_name(name) == wanted:
@@ -304,56 +305,3 @@ def reference_mlp(scenario_name: str, parameter: str) -> Mlp:
         input_norm=REFERENCE_NORM_RANGE,
         output_norm=REFERENCE_NORM_RANGE,
     )
-
-
-# Cache of locally retrained (d1, d2) network pairs, keyed by scenario name.
-_RETRAINED_CACHE: dict[str, tuple[Mlp, Mlp]] = {}
-
-
-def params_for_scenario(
-    scenario: ScenarioPreset,
-    delta_h: float,
-    source: str = "retrained",
-    models: tuple[Mlp, Mlp] | None = None,
-) -> ApproxParams:
-    """(D1, D2) for a scenario at a given height difference.
-
-    Args:
-        scenario: preset carrying the area statistics.
-        delta_h: transceiver height difference [m], > 0.
-        source: "retrained" runs the locally trained network pair
-            (training on first use, cached per scenario); "reference" runs
-            the bundled reference tables and emits a UserWarning because
-            their normalization convention is assumed, not known.
-        models: optional explicit (d1 net, d2 net) pair overriding both
-            sources.
-
-    The pair's predictions go through :func:`network_params`; delta_h is
-    checked before any network is trained.
-    """
-    check_delta_h(delta_h)
-    if models is not None:
-        pair = models
-    elif source == "reference":
-        warnings.warn(
-            "reference weight tables evaluated under an assumed normalization "
-            "convention; outputs are best-effort",
-            UserWarning,
-            stacklevel=2,
-        )
-        pair = (reference_mlp(scenario.name, "d1"), reference_mlp(scenario.name, "d2"))
-    elif source == "retrained":
-        pair = _retrained_pair(scenario)
-    else:
-        raise ValueError(f"source must be 'retrained' or 'reference', got {source!r}")
-    return network_params(pair, delta_h)
-
-
-def _retrained_pair(scenario: ScenarioPreset) -> tuple[Mlp, Mlp]:
-    key = scenario.name
-    if key not in _RETRAINED_CACHE:
-        from . import fit  # deferred: fit depends on this module
-
-        mlp_d1, mlp_d2, _ = fit.train_pair(scenario.env)
-        _RETRAINED_CACHE[key] = (mlp_d1, mlp_d2)
-    return _RETRAINED_CACHE[key]

@@ -40,6 +40,7 @@ from .fit import (
     TrainConfig,
     approx_vs_analytic_error,
     build_dataset,
+    dataset_lines,
     default_d_grid,
     rmse,
     split_dataset,
@@ -71,8 +72,8 @@ def _parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0.0 or stop < start:
-            raise ValueError(f"bad grid bounds {text!r}")
+        if not (math.isfinite(start) and start <= stop < math.inf and 0.0 < step < math.inf):
+            raise ValueError(f"bad grid bounds {text!r}: need finite start <= stop and step > 0")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [start + k * step for k in range(count)]
     if "," in text:
@@ -208,25 +209,18 @@ def cmd_fit(args) -> tuple[list[str], Files]:
         "epochs": cfg.epochs,
         "eta": cfg.eta,
     }
-    lines = _header("fit", scen, env, freq, pairs)
-    # config comment in the dataset-file format, so the report itself can
-    # be read back as a dataset
-    lines.append(
-        f"# alpha={env.alpha!r} beta={env.beta!r} gamma={env.gamma!r} "
-        f"lambda={spec.wavelength!r} order={spec.order} h_rx={args.hrx!r}"
-    )
-    for tag, model in models.items():
-        lines.append(
-            f"# {tag}: train_rmse_m={_fmt(rmse(model, train_ds, tag))} "
-            f"validation_rmse_m={_fmt(rmse(model, val_ds, tag))}"
-        )
-    lines.append(f"# approx_vs_analytic mse={_fmt(mse)} max_abs_err={_fmt(max_err)}")
+    notes = [
+        f"# {tag}: train_rmse_m={_fmt(rmse(model, train_ds, tag))} "
+        f"validation_rmse_m={_fmt(rmse(model, val_ds, tag))}"
+        for tag, model in models.items()
+    ]
+    notes.append(f"# approx_vs_analytic mse={_fmt(mse)} max_abs_err={_fmt(max_err)}")
     for record, sse in zip(ds.records, ds.fit_sse):
-        lines.append(f"# residual delta_h={_fmt(record.delta_h)} fit_mse={_fmt(sse / n_fit_points)}")
+        notes.append(f"# residual delta_h={_fmt(record.delta_h)} fit_mse={_fmt(sse / n_fit_points)}")
     for dh, reason in ds.rejected:
-        lines.append(f"# rejected delta_h={_fmt(dh)}: {reason}")
-    lines.append("delta_h,d1,d2")
-    lines += [f"{_fmt(r.delta_h)},{_fmt(r.d1)},{_fmt(r.d2)}" for r in ds.records]
+        notes.append(f"# rejected delta_h={_fmt(dh)}: {reason}")
+    # the dataset format, so the report itself reads back as a dataset
+    lines = _header("fit", scen, env, freq, pairs) + dataset_lines(ds, notes)
     prefix = Path(args.out_prefix)
     files = [
         (prefix.parent / f"{prefix.name}.{tag}.txt", lambda fh, m=model: save_mlp(m, fh))
@@ -302,6 +296,8 @@ def cmd_compare(args) -> tuple[list[str], Files]:
         raise ValueError("give both --d1-model and --d2-model, or neither")
     if "approx-retrained" in models:
         check_delta_h(args.htx - args.hrx)  # before the simulation and any training
+        if args.d1_model is not None:  # a bad model file fails before the simulation too
+            pair = (load_mlp(args.d1_model), load_mlp(args.d2_model))
     labels, label_name, d_grid, est = _run_simulation(args, env, spec)
 
     columns: dict[str, list[float]] = {}
@@ -313,9 +309,7 @@ def cmd_compare(args) -> tuple[list[str], Files]:
             params = STANDARD_PARAM_SETS[model.split("-")[1]]
             columns[model] = p_los_approx(d_grid, params).tolist()
         else:  # approx-retrained
-            if args.d1_model is not None:
-                pair = (load_mlp(args.d1_model), load_mlp(args.d2_model))
-            else:
+            if args.d1_model is None:
                 notes.append("# note: retrained models trained in-process (no model files given)")
                 pair = train_pair(env, spec, h_rx=args.hrx)[:2]
             params = network_params(pair, args.htx - args.hrx)

@@ -260,38 +260,33 @@ def build_dataset(
     )
 
 
-def save_dataset(ds: FitDataset, path) -> None:
-    """Write a dataset as `delta_h,d1,d2` CSV with a config comment line."""
-    lines = [
+def dataset_lines(ds: FitDataset, notes: Sequence[str] = ()) -> list[str]:
+    """A dataset as `delta_h,d1,d2` CSV lines under a `# alpha=...` config
+    line, with the `#` lines ``notes`` between the two; :func:`load_dataset`
+    reads them back."""
+    config = (
         f"# alpha={float(ds.env.alpha)!r} beta={float(ds.env.beta)!r} "
         f"gamma={float(ds.env.gamma)!r} lambda={float(ds.spec.wavelength)!r} "
-        f"order={ds.spec.order} h_rx={float(ds.h_rx)!r}",
-        "delta_h,d1,d2",
-    ]
-    lines += [
-        f"{float(r.delta_h)!r},{float(r.d1)!r},{float(r.d2)!r}" for r in ds.records
-    ]
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        Path(path).write_text(text)
+        f"order={ds.spec.order} h_rx={float(ds.h_rx)!r}"
+    )
+    rows = [f"{float(r.delta_h)!r},{float(r.d1)!r},{float(r.d2)!r}" for r in ds.records]
+    return [config, *notes, "delta_h,d1,d2", *rows]
 
 
 def load_dataset(path) -> FitDataset:
-    """Read a dataset written by :func:`save_dataset`."""
+    """Read a dataset written as :func:`dataset_lines`. The config comes from
+    the `#` line that starts with `alpha=`; other `#` lines are notes."""
     text = path.read() if hasattr(path, "read") else Path(path).read_text()
-    meta: dict[str, float] = {}
+    meta: dict[str, str] = {}
     records = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    key, value = token.split("=", 1)
-                    meta[key] = float(value)
+            tokens = line[1:].split()
+            if tokens and tokens[0].startswith("alpha="):
+                meta = dict(token.split("=", 1) for token in tokens if "=" in token)
             continue
         if line.startswith("delta_h"):
             continue
@@ -302,9 +297,9 @@ def load_dataset(path) -> FitDataset:
             raise ValueError(f"dataset file lacks {key}= in its comment header")
     return FitDataset(
         records=tuple(records),
-        env=Environment(meta["alpha"], meta["beta"], meta["gamma"]),
-        spec=FresnelSpec(meta["lambda"], order=int(meta.get("order", 1))),
-        h_rx=meta.get("h_rx", 1.5),
+        env=Environment(float(meta["alpha"]), float(meta["beta"]), float(meta["gamma"])),
+        spec=FresnelSpec(float(meta["lambda"]), order=int(float(meta.get("order", 1)))),
+        h_rx=float(meta.get("h_rx", 1.5)),
     )
 
 

@@ -12,10 +12,10 @@ Blockage tests are exact: Moller-Trumbore for ray/triangle hits, and for
 the clearance test an affine map takes the ellipsoid to the unit sphere
 where triangle/sphere overlap reduces to a point-triangle distance. The
 per-link predicates cull buildings by a bounding-circle check only and
-test the scene's full mesh; they are the reference for the Monte-Carlo
-estimator, which culls harder, over every azimuth at once, settles sure
-blockages with a segment-box crossing, and triangulates only the
-buildings left for its batched exact test (see `estimate_p_los`).
+test the mesh of every building left; they are the reference for the
+Monte-Carlo estimator, which culls harder, over every azimuth at once,
+settles sure blockages with a segment-box crossing, and triangulates only
+the buildings left for its batched exact test (see `estimate_p_los`).
 """
 
 from __future__ import annotations
@@ -72,37 +72,11 @@ def _check_boxes(widths: np.ndarray, heights: np.ndarray) -> None:
             raise ValueError(f"{name} must be > 0, got {values[bad][0]}")
 
 
-@dataclass(frozen=True)
-class Triangle:
-    v0: tuple[float, float, float]
-    v1: tuple[float, float, float]
-    v2: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        e1 = np.subtract(self.v1, self.v0)
-        e2 = np.subtract(self.v2, self.v0)
-        if np.linalg.norm(np.cross(e1, e2)) == 0.0:
-            raise ValueError("degenerate triangle")
-
-
-@dataclass(frozen=True)
-class Ray:
-    origin: tuple[float, float, float]
-    direction: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        norm = float(np.linalg.norm(self.direction))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"direction must be unit length, |d| = {norm}")
-
-
 class Scene:
     """Synthesized city as arrays: building centres (n, 2), footprint widths
-    and heights (n,), plus the scene side and seed.
-
-    `buildings` and the mesh `triangles` are derived on first use. The mesh
-    has 10 consecutive triangles per building, in building order, shape
-    (10 * n_buildings, 3, 3).
+    and heights (n,), plus the scene side and seed. `buildings` is derived
+    on first use; the blockage tests triangulate only the buildings they
+    keep (`_triangulate`).
     """
 
     def __init__(self, buildings: Sequence[Building], extent: float, seed: int):
@@ -131,16 +105,13 @@ class Scene:
         columns = (self._centers[:, 0], self._centers[:, 1], self._widths, self._heights)
         return tuple(map(Building, *(c.tolist() for c in columns)))
 
-    @cached_property
-    def triangles(self) -> np.ndarray:
-        return _triangulate(self._centers, self._widths, self._heights)
-
     def __len__(self) -> int:
         return len(self._widths)
 
 
 def _triangulate(centers: np.ndarray, widths: np.ndarray, heights: np.ndarray) -> np.ndarray:
-    """Mesh all buildings: 4 walls (2 triangles each) plus a 2-triangle roof."""
+    """Mesh the buildings: 4 walls (2 triangles each) plus a 2-triangle roof,
+    10 consecutive triangles per building in building order, (10 n, 3, 3)."""
     n = len(widths)
     half = widths / 2.0
     x0, x1 = centers[:, 0] - half, centers[:, 0] + half
@@ -280,19 +251,6 @@ def _mt_batch(origin: np.ndarray, direction: np.ndarray, tris: np.ndarray):
     return hit, s, u, v
 
 
-def ray_triangle_intersect(ray: Ray, tri: Triangle):
-    """Distance and barycentric coordinates of a ray/triangle hit, or None."""
-    tris = np.array([[tri.v0, tri.v1, tri.v2]], dtype=float)
-    hit, s, u, v = _mt_batch(
-        np.asarray(ray.origin, dtype=float),
-        np.asarray(ray.direction, dtype=float),
-        tris,
-    )
-    if not hit[0]:
-        return None
-    return float(s[0]), float(u[0]), float(v[0])
-
-
 # --- blockage predicates ---------------------------------------------------
 
 
@@ -300,10 +258,9 @@ def _candidate_triangles(scene: Scene, p0: np.ndarray, p1: np.ndarray, clearance
     """Triangles of buildings whose bounding circle meets the link corridor.
 
     Horizontal distance from each building center to the projected segment,
-    against the footprint circumradius plus ``clearance``.
+    against the footprint circumradius plus ``clearance``; only the buildings
+    kept are triangulated.
     """
-    if len(scene) == 0:
-        return scene.triangles[:0]
     a = p0[:2]
     seg = p1[:2] - a
     seg_len_sq = float(seg @ seg)
@@ -315,10 +272,7 @@ def _candidate_triangles(scene: Scene, p0: np.ndarray, p1: np.ndarray, clearance
         dist = np.linalg.norm(rel - t[:, None] * seg, axis=1)
     radius = scene._widths * (math.sqrt(2.0) / 2.0) + clearance
     idx = np.nonzero(dist <= radius)[0]
-    if idx.size == 0:
-        return scene.triangles[:0]
-    tri_idx = (idx[:, None] * 10 + np.arange(10)).ravel()
-    return scene.triangles[tri_idx]
+    return _triangulate(scene._centers[idx], scene._widths[idx], scene._heights[idx])
 
 
 def los_blocked_geometric(scene: Scene, tx: Sequence[float], rx: Sequence[float]) -> bool:

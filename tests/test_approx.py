@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,11 +14,9 @@ from a2glos.approx import (
     mlp_forward,
     network_params,
     p_los_approx,
-    params_for_scenario,
     reference_mlp,
     save_mlp,
 )
-from a2glos.environment import get_scenario
 
 SCENARIOS = ("suburban", "urban", "dense-urban", "high-rise")
 
@@ -234,6 +233,31 @@ class TestSerialization:
         with pytest.raises(ValueError, match="ob"):
             load_mlp(io.StringIO("iw 1\nib 0\now 1\ninorm 0 1\nonorm 0 1\n"))
 
+    @staticmethod
+    def saved_lines():
+        buf = io.StringIO()
+        save_mlp(reference_mlp("urban", "d1"), buf)
+        return buf.getvalue().splitlines()
+
+    @pytest.mark.parametrize("line, message", [
+        ("ob", "'ob' takes 1 value(s), got 0"),
+        ("ob 1 2", "'ob' takes 1 value(s), got 2"),
+        ("inorm 0", "'inorm' takes 2 value(s), got 1"),
+        ("onorm 0 1 2", "'onorm' takes 2 value(s), got 3"),
+    ])
+    def test_wrong_value_count_is_an_error(self, line, message):
+        tag = line.split()[0]
+        lines = [l for l in self.saved_lines() if l.split()[0] != tag] + [line]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_mlp(io.StringIO("\n".join(lines) + "\n"))
+
+    @pytest.mark.parametrize("tag", ["iw", "ib", "ow", "ob", "inorm", "onorm"])
+    def test_repeated_tag_is_an_error(self, tag):
+        lines = self.saved_lines()
+        lines += [l for l in lines if l.split()[0] == tag]
+        with pytest.raises(ValueError, match=f"'{tag}' is repeated"):
+            load_mlp(io.StringIO("\n".join(lines) + "\n"))
+
 
 class TestReferenceWeights:
     def test_spot_values_match_the_published_table(self):
@@ -254,58 +278,3 @@ class TestReferenceWeights:
             reference_mlp("metropolis", "d1")
         with pytest.raises(ValueError):
             reference_mlp("urban", "d3")
-
-    def test_reference_source_warns(self):
-        scenario = get_scenario("urban")
-        with pytest.warns(UserWarning, match="normalization"):
-            params = params_for_scenario(scenario, 100.0, source="reference")
-        assert params.d1 > 0.0 and params.d2 > 0.0
-
-
-class TestParamsForScenario:
-    def test_deterministic_via_explicit_models(self):
-        scenario = get_scenario("urban")
-        pair = (reference_mlp("urban", "d1"), reference_mlp("urban", "d2"))
-        a = params_for_scenario(scenario, 250.0, models=pair)
-        b = params_for_scenario(scenario, 250.0, models=pair)
-        assert a == b
-
-    def test_retrained_source_trains_once_and_caches(self, monkeypatch):
-        import a2glos.approx as approx_mod
-        import a2glos.fit as fit_mod
-
-        calls = {"n": 0}
-        pair = (reference_mlp("urban", "d1"), reference_mlp("urban", "d2"))
-
-        def fake_train_pair(env, *args, **kwargs):
-            calls["n"] += 1
-            return pair[0], pair[1], None
-
-        monkeypatch.setattr(fit_mod, "train_pair", fake_train_pair)
-        monkeypatch.setattr(approx_mod, "_RETRAINED_CACHE", {})
-        scenario = get_scenario("urban")
-        a = params_for_scenario(scenario, 300.0, source="retrained")
-        b = params_for_scenario(scenario, 400.0, source="retrained")
-        assert calls["n"] == 1  # second call served from the cache
-        assert a.d1 > 0 and b.d1 > 0
-
-    def test_height_difference_is_checked_before_training(self, monkeypatch):
-        import a2glos.approx as approx_mod
-        import a2glos.fit as fit_mod
-
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before delta_h was checked")
-
-        monkeypatch.setattr(fit_mod, "train_pair", no_training)
-        monkeypatch.setattr(approx_mod, "_RETRAINED_CACHE", {})
-        for bad in (0.0, -5.0, math.nan):
-            with pytest.raises(ValueError, match="delta_h must be > 0"):
-                params_for_scenario(get_scenario("urban"), bad, source="retrained")
-
-    def test_input_validation(self):
-        scenario = get_scenario("urban")
-        pair = (reference_mlp("urban", "d1"), reference_mlp("urban", "d2"))
-        with pytest.raises(ValueError):
-            params_for_scenario(scenario, 0.0, models=pair)
-        with pytest.raises(ValueError):
-            params_for_scenario(scenario, 100.0, source="folklore")

@@ -8,7 +8,8 @@ from a2glos.analytic import p_los, p_los_baseline
 from a2glos.approx import ApproxParams, p_los_approx, reference_mlp
 from a2glos.cli import _parse_grid, build_parser, main
 from a2glos.environment import Environment
-from a2glos.geometry import FresnelSpec, LinkGeometry
+from a2glos.fit import build_dataset, load_dataset
+from a2glos.geometry import FresnelSpec, LinkGeometry, wavelength_from_frequency
 from a2glos.rt_sim import _subseed, dump_scene_csv, realization_scene
 
 URBAN = Environment(0.3, 500.0, 15.0)
@@ -39,9 +40,19 @@ class TestGridSyntax:
         assert _parse_grid("42") == [42.0]
 
     def test_bad_grids(self):
-        for bad in ("1:2", "5:1:1", "1:10:0"):
+        for bad in ("1:2", "5:1:1", "1:10:0", "0:inf:1", "-inf:0:1", "0:10:inf", "nan:10:1",
+                    "0:nan:1", "0:10:nan"):
             with pytest.raises(ValueError):
                 _parse_grid(bad)
+
+    @pytest.mark.parametrize("option", ["--d", "--elevation"])
+    def test_infinite_bound_is_a_usage_error(self, tmp_path, capsys, option):
+        out = tmp_path / "never.csv"
+        code = main(["analytic", "--scenario", "urban", "--f-ghz", "28", "--htx", "70",
+                     option, "10:inf:1", "--out", str(out)])
+        assert code == 2
+        assert "bad grid bounds '10:inf:1'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAnalyticCommand:
@@ -317,6 +328,30 @@ class TestCompareCommand:
         assert "--d1-model and --d2-model" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, replace", [
+        ("inorm 0", True), ("onorm 0 1 2", True), ("ob 1 2", True), ("iw 1 2 3 4", False),
+    ])
+    def test_bad_model_file_fails_before_simulating(self, tmp_path, capsys, monkeypatch, line, replace):
+        import a2glos.cli as cli_mod
+        from a2glos.approx import save_mlp
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated before the model files were read")
+
+        monkeypatch.setattr(cli_mod, "estimate_p_los", forbidden)
+        p1, p2 = tmp_path / "m.d1.txt", tmp_path / "m.d2.txt"
+        save_mlp(reference_mlp("urban", "d1"), p1)
+        save_mlp(reference_mlp("urban", "d2"), p2)
+        tag = line.split()[0]
+        lines = [l for l in p2.read_text().splitlines() if not (replace and l.split()[0] == tag)]
+        p2.write_text("\n".join(lines + [line]) + "\n")
+        code, out = run_cli(["compare", "--scenario", "urban", "--htx", "120", "--f-ghz", "28",
+                             "--d", "100", "--realizations", "1", "--models", "approx-retrained",
+                             "--d1-model", str(p1), "--d2-model", str(p2)], tmp_path)
+        assert code == 2
+        assert f"tensor tag '{tag}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_retrained_model_at_equal_heights_is_a_usage_error(self, tmp_path, capsys):
         from a2glos.approx import save_mlp
 
@@ -393,6 +428,13 @@ class TestFitCommand:
         assert any("train_rmse_m=" in l for l in text.splitlines())
         assert any("validation_rmse_m=" in l for l in text.splitlines())
         assert any("approx_vs_analytic mse=" in l for l in text.splitlines())
+        # the report reads back as the dataset the models were trained on
+        dataset = build_dataset(URBAN, FresnelSpec(wavelength_from_frequency(28e9)),
+                                delta_h_grid=_parse_grid(args[args.index("--delta-h") + 1]),
+                                d_grid=_parse_grid(args[args.index("--d") + 1]))
+        back = load_dataset(out)
+        assert (back.records, back.env, back.spec, back.h_rx) == (
+            dataset.records, dataset.env, dataset.spec, dataset.h_rx)
         # determinism of the model files
         first = d1_file.read_bytes()
         code2, _ = run_cli(args, tmp_path, "report2.csv")

@@ -322,17 +322,6 @@ class TestRetrainedUrbanModels:
             breakpoints.append(float(above.max()) if above.size else 0.0)
         assert breakpoints[0] < breakpoints[1] < breakpoints[2]
 
-    def test_scenario_prediction_is_deterministic(self, urban_models):
-        from a2glos.approx import params_for_scenario
-        from a2glos.environment import get_scenario
-
-        mlp_d1, mlp_d2, _ = urban_models
-        scenario = get_scenario("urban")
-        pair = (mlp_d1, mlp_d2)
-        assert params_for_scenario(scenario, 118.5, models=pair) == params_for_scenario(
-            scenario, 118.5, models=pair
-        )
-
 
 class TestPerCurveFitQuality:
     def test_mid_altitude_6ghz_fit(self):
@@ -346,14 +335,15 @@ class TestPerCurveFitQuality:
 
 class TestDatasetFile:
     def test_round_trip(self, tmp_path):
-        from a2glos.fit import load_dataset, save_dataset
+        from a2glos.fit import dataset_lines, load_dataset
 
         ds = make_dataset(linear_records(12))
+        notes = ["# scenario=urban f_ghz=28", "# rejected delta_h=9.5: why"]  # not config
+        lines = dataset_lines(ds, notes)
+        assert lines[0].startswith("# alpha=") and "lambda=" in lines[0]
+        assert lines[1:4] == notes + ["delta_h,d1,d2"]
         path = tmp_path / "dataset.csv"
-        save_dataset(ds, path)
-        text = path.read_text()
-        assert "delta_h,d1,d2" in text
-        assert "# alpha=" in text and "lambda=" in text
+        path.write_text("\n".join(lines) + "\n")
         back = load_dataset(path)
         assert back.records == ds.records
         assert back.env == ds.env

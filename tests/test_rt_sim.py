@@ -18,9 +18,7 @@ from a2glos.geometry import (
 )
 from a2glos.rt_sim import (
     Building,
-    Ray,
     Scene,
-    Triangle,
     _candidate_triangles,
     _fan_candidates,
     _link_fan,
@@ -30,12 +28,12 @@ from a2glos.rt_sim import (
     _scene_verdicts,
     _segments_cross_boxes,
     _subseed,
+    _triangulate,
     default_extent,
     dump_scene_csv,
     estimate_p_los,
     los_blocked_fresnel,
     los_blocked_geometric,
-    ray_triangle_intersect,
     realization_scene,
     sample_heights,
     scene_csv_lines,
@@ -59,6 +57,11 @@ def solve_oracle(origin, direction, tri):
     return None
 
 
+def mesh(scene):
+    """The scene's full mesh: every building triangulated, in building order."""
+    return _triangulate(scene._centers, scene._widths, scene._heights)
+
+
 def brute_distance_to_origin(tri, steps=400):
     """Least distance over a dense barycentric sampling of the triangle: an
     upper bound on the exact distance, since every sample lies on it."""
@@ -77,22 +80,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             Building(0.0, 0.0, 5.0, -1.0)
 
-    def test_triangle_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            Triangle((0, 0, 0), (1, 1, 1), (2, 2, 2))
-
-    def test_ray_requires_unit_direction(self):
-        Ray((0, 0, 0), (0, 0, 1))
-        with pytest.raises(ValueError):
-            Ray((0, 0, 0), (0, 0, 2))
-
 
 class TestSceneSynthesis:
     def test_urban_kilometre_scene(self):
         scene = synthesize_scene(URBAN, 1000.0, seed=7)
         n = len(scene)
         assert 400 <= n <= 560  # about beta per km^2
-        assert scene.triangles.shape == (10 * n, 3, 3)
+        assert mesh(scene).shape == (10 * n, 3, 3)
         widths = {b.width for b in scene.buildings}
         assert len(widths) == 1
         assert widths.pop() == pytest.approx(24.494897427831777, rel=1e-12)
@@ -101,7 +95,7 @@ class TestSceneSynthesis:
         a = synthesize_scene(URBAN, 800.0, seed=3)
         b = synthesize_scene(URBAN, 800.0, seed=3)
         assert a.buildings == b.buildings
-        assert np.array_equal(a.triangles, b.triangles)
+        assert np.array_equal(mesh(a), mesh(b))
         c = synthesize_scene(URBAN, 800.0, seed=4)
         assert a.buildings != c.buildings
 
@@ -113,7 +107,7 @@ class TestSceneSynthesis:
     def test_triangles_stay_inside_the_extent(self):
         for layout in ("grid", "uniform"):
             scene = synthesize_scene(URBAN, 600.0, seed=11, layout=layout)
-            xy = scene.triangles[:, :, :2].reshape(-1, 2)
+            xy = mesh(scene)[:, :, :2].reshape(-1, 2)
             assert np.max(np.abs(xy)) <= 300.0 + 1e-9
 
     def test_overlapping_statistics_are_rejected(self):
@@ -150,7 +144,6 @@ class TestSceneArrays:
     @pytest.mark.parametrize("layout", ["grid", "uniform"])
     def test_hand_built_scene_equals_the_array_path(self, layout):
         built = synthesize_scene(get_scenario("high-rise").env, 500.0, seed=6, layout=layout)
-        assert "triangles" not in vars(built)  # the mesh is built on first use
         hand = Scene(built.buildings, built.extent, built.seed)
         for name in ("_centers", "_widths", "_heights"):
             assert np.array_equal(getattr(hand, name), getattr(built, name))
@@ -158,8 +151,8 @@ class TestSceneArrays:
         assert hand.buildings == built.buildings
         assert all(type(v) is float for b in built.buildings for v in vars(b).values())
         assert (hand.extent, hand.seed, len(hand)) == (built.extent, built.seed, len(built))
-        assert np.array_equal(hand.triangles, built.triangles)
-        assert built.triangles.shape == (10 * len(built), 3, 3)
+        assert np.array_equal(mesh(hand), mesh(built))
+        assert mesh(built).shape == (10 * len(built), 3, 3)
 
     @pytest.mark.parametrize("widths, heights", [
         ([20.0, 0.0], [5.0, 5.0]),
@@ -174,47 +167,55 @@ class TestSceneArrays:
     def test_empty_scene(self):
         scene = Scene([], extent=100.0, seed=0)
         assert len(scene) == 0 and scene.buildings == ()
-        assert scene.triangles.shape == (0, 3, 3)
+        assert mesh(scene).shape == (0, 3, 3)
 
 
 class TestRayTriangle:
+    """`_mt_batch` on single triangles and against a linear solve."""
+
+    @staticmethod
+    def hit(origin, direction, tri):
+        """(s, u, v) of one ray/triangle hit, or None."""
+        hit, s, u, v = _mt_batch(np.asarray(origin, dtype=float), np.asarray(direction, dtype=float),
+                                 np.array([tri], dtype=float))
+        return (float(s[0]), float(u[0]), float(v[0])) if hit[0] else None
+
     def test_perpendicular_hit_through_centroid(self):
-        tri = Triangle((0.0, 0.0, 0.0), (3.0, 0.0, 0.0), (0.0, 3.0, 0.0))
-        ray = Ray((1.0, 1.0, 5.0), (0.0, 0.0, -1.0))
-        s, u, v = ray_triangle_intersect(ray, tri)
+        tri = ((0.0, 0.0, 0.0), (3.0, 0.0, 0.0), (0.0, 3.0, 0.0))
+        s, u, v = self.hit((1.0, 1.0, 5.0), (0.0, 0.0, -1.0), tri)
         assert s == pytest.approx(5.0, rel=1e-12)
         assert u == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert v == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_parallel_ray_misses(self):
-        tri = Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-        assert ray_triangle_intersect(Ray((0.2, 0.2, 1.0), (1.0, 0.0, 0.0)), tri) is None
+        tri = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        assert self.hit((0.2, 0.2, 1.0), (1.0, 0.0, 0.0), tri) is None
 
     def test_behind_origin_misses(self):
-        tri = Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-        assert ray_triangle_intersect(Ray((0.2, 0.2, -1.0), (0.0, 0.0, -1.0)), tri) is None
+        tri = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        assert self.hit((0.2, 0.2, -1.0), (0.0, 0.0, -1.0), tri) is None
 
     def test_outside_barycentric_range_misses(self):
-        tri = Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-        assert ray_triangle_intersect(Ray((0.9, 0.9, 1.0), (0.0, 0.0, -1.0)), tri) is None
+        tri = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        assert self.hit((0.9, 0.9, 1.0), (0.0, 0.0, -1.0), tri) is None
 
     def test_agrees_with_linear_solve_oracle(self):
+        # one batch of per-row rays over the draws of one ray/triangle per loop
         rng = np.random.default_rng(2025)
-        hits = 0
+        origins, directions, tris = [], [], []
         for _ in range(2000):
-            origin = rng.uniform(-2, 2, 3)
+            origins.append(rng.uniform(-2, 2, 3))
             direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
-            tri = rng.uniform(-2, 2, (3, 3))
-            expected = solve_oracle(origin, direction, tri)
-            got = ray_triangle_intersect(
-                Ray(tuple(origin), tuple(direction)),
-                Triangle(tuple(tri[0]), tuple(tri[1]), tuple(tri[2])),
-            )
-            assert (expected is None) == (got is None)
+            directions.append(direction / np.linalg.norm(direction))
+            tris.append(rng.uniform(-2, 2, (3, 3)))
+        hit, s, u, v = _mt_batch(np.array(origins), np.array(directions), np.array(tris))
+        hits = 0
+        for k in range(2000):
+            expected = solve_oracle(origins[k], directions[k], tris[k])
+            assert (expected is None) == (not hit[k])
             if expected is not None:
                 hits += 1
-                for a, b in zip(expected, got):
+                for a, b in zip(expected, (s[k], u[k], v[k])):
                     assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
         assert hits > 50  # the comparison actually exercised hits
 
@@ -317,7 +318,7 @@ class TestBlockage:
             d = rng.uniform(20.0, 440.0)
             rx = np.array([d * math.cos(ang), d * math.sin(ang), 2.0])
             length = np.linalg.norm(rx - tx)
-            hit, s, _, _ = _mt_batch(tx, (rx - tx) / length, scene.triangles)
+            hit, s, _, _ = _mt_batch(tx, (rx - tx) / length, mesh(scene))
             expected = bool(np.any(hit & (s < length)))
             assert los_blocked_geometric(scene, tx, rx) == expected
 
