@@ -292,6 +292,9 @@ def cmd_compare(args) -> tuple[list[str], Files]:
     unknown = [m for m in models if m not in _KNOWN_MODELS]
     if unknown:
         raise ValueError(f"unknown models: {', '.join(unknown)}; choose from {_KNOWN_MODELS}")
+    repeated = [m for k, m in enumerate(models) if m in models[:k]]
+    if repeated:
+        raise ValueError(f"--models names {', '.join(dict.fromkeys(repeated))} more than once")
     if (args.d1_model is None) != (args.d2_model is None):
         raise ValueError("give both --d1-model and --d2-model, or neither")
     if "approx-retrained" in models:

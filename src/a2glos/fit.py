@@ -2,8 +2,8 @@
 
 Stage 1 (:func:`build_dataset`): for a grid of height differences, fit the
 two-parameter model to the analytic LoS curve by least squares (exact in D1
-for each scanned D2, then refined in D2), all curves in one array
-computation, yielding a (delta_h -> D1, D2) dataset.
+for each D2 of a scan streamed in chunks, then refined in D2 in row blocks,
+on buffers allocated once), yielding a (delta_h -> D1, D2) dataset.
 
 Stage 2 (:func:`train`): train one small network per parameter on that
 dataset by full-batch gradient descent on a mean-square-error cost with an
@@ -40,7 +40,8 @@ SPLIT_RATIO = 0.7
 #: D2 values the (D1, D2) fit scans [m]: every integer to 2,000 m (the SSE
 #: profile over D2 is rugged there), then a geometric tail to 1e6 m.
 _D2_SCAN = np.concatenate((np.arange(1.0, 2001.0), np.geomspace(2000.0, 1e6, 301)[1:]))
-_D2_CHUNK = 8  # D2 values per scan block: a few MB of temporaries
+_D2_CHUNK = 8  # D2 values per scan chunk, over every curve at once
+_REFINE_ROWS = 16  # curves per refinement block
 # D2 refinement: nested scans of 17 points, each narrowing the bracket 8-fold
 _REFINE_POINTS, _REFINE_STAGES = 17, 10
 
@@ -130,68 +131,89 @@ def default_d_grid() -> np.ndarray:
     return np.concatenate(([1.0], np.arange(10.0, 1001.0, 10.0)))
 
 
-def _profile(d, lo, y, flat, d2):
-    """Least-squares D1, and its SSE, at each D2 of ``d2`` (1 or C, m).
+def _profile(d, lo, y, flat, d2, buf):
+    """Per curve, the least SSE over the D2 values ``d2`` (1 or C, K; m), its
+    D1 and its index in K, worked out in the leading (C, K, n_d) block of the
+    buffers ``buf`` (5, C', K', n_d). Ties keep the first D2, then the first D1.
 
     With ``d`` descending, on interval j (D1 in [lo_j, d_j] = [d_j+1, d_j])
     the residual is 1 - y past d_j (``flat`` sums their squares) and D1 u + v
     up to it, u = (1 - e)/d, v = e - y, e = exp(-d/D2): a quadratic in D1.
     """
+    v, uv, suv, sse, d1 = buf[:, :len(y), :d2.shape[-1]]
     x = d / d2[..., None]
     e = np.exp(-x)
     u = np.expm1(-x)
     np.divide(u, -d, out=u, where=d > 0.0)  # at d = 0, u = 0: a flat residual
     suu = np.cumsum(u * u, axis=-1)
     # v formed, not expanded to e.e - 2 e.y + y.y, which cancels where e, y ~ 1
-    v = e - y[:, None, :]
-    suv = np.cumsum(u * v, axis=-1)
+    np.subtract(e, y[:, None, :], out=v)
+    np.cumsum(np.multiply(u, v, out=uv), axis=-1, out=suv)
     v *= v
-    sse = np.cumsum(v, axis=-1)
+    np.cumsum(v, axis=-1, out=sse)
     sse += flat[:, None, :]
-    d1 = np.divide(suv, suu)
+    np.divide(suv, suu, out=d1)
     np.negative(d1, out=d1)
     np.maximum(d1, lo, out=d1)
     np.minimum(d1, d, out=d1)
     # SSE at the clipped minimiser: flat + sum(v^2) + D1 (D1 suu + 2 suv)
     suv *= 2.0
-    suv += d1 * suu
+    suv += np.multiply(d1, suu, out=uv)
     suv *= d1
     sse += suv
-    k = np.argmin(sse, axis=-1)[..., None]
-    return np.take_along_axis(sse, k, -1)[..., 0], np.take_along_axis(d1, k, -1)[..., 0]
+    shape = len(y), d2.shape[-1] * d.size  # (C, K n_d): a zero-curve stack has no -1
+    m = np.argmin(sse.reshape(shape), axis=1)[:, None]
+    sse, d1 = (np.take_along_axis(a.reshape(shape), m, 1)[:, 0] for a in (sse, d1))
+    return sse, d1, m[:, 0] // d.size
 
 
 def fit_parametric_curve(d_grid: np.ndarray, curves: np.ndarray):
     """Least-squares (D1, D2) for one curve (n_d,) or a stack (C, n_d).
 
     The best D1 is exact for each D2 of _D2_SCAN; the best D2 is refined in
-    its bracket, and kept only where no worse. Distances are >= 0, in any
-    order. Returns (d1, d2, sse), sse summed from the residuals at (d1, d2):
-    floats for one curve, arrays (C,) for a stack.
+    its bracket, and kept only where no worse. Distances (finite, >= 0) come
+    in any order, curve values are finite. Returns (d1, d2, sse), sse summed
+    from the residuals at (d1, d2): floats for one curve, arrays (C,) for a
+    stack. The scan streams _D2_CHUNK values of D2 over all curves, keeping
+    each curve's first best (a later chunk wins by a strictly lower SSE); the
+    refinement runs in blocks of _REFINE_ROWS curves. Both work in buffers
+    allocated once a call: the memory peak stays bounded, the bits unchanged.
     """
-    order = np.argsort(np.asarray(d_grid, dtype=float))[::-1]
-    d = np.asarray(d_grid, dtype=float)[order]
-    stack = np.asarray(curves, dtype=float)
+    d, stack = np.asarray(d_grid, dtype=float), np.asarray(curves, dtype=float)
+    if d.ndim != 1 or stack.ndim not in (1, 2) or stack.shape[-1] != d.size:
+        raise ValueError(f"curves of shape {stack.shape} do not match a grid of {d.size} distances")
+    if not np.all((d >= 0.0) & (d < math.inf)):
+        raise ValueError("distances must be finite and >= 0")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("curve values must be finite")
+    order = np.argsort(d)[::-1]
+    d = d[order]
     y = np.atleast_2d(stack)[:, order]
     lo = np.append(d[1:], 0.0)
     flat = np.zeros_like(y)
     flat[:, :-1] = np.cumsum(((1.0 - y) ** 2)[:, :0:-1], axis=1)[:, ::-1]
 
-    scan = [_profile(d, lo, y, flat, _D2_SCAN[None, s:s + _D2_CHUNK])
-            for s in range(0, _D2_SCAN.size, _D2_CHUNK)]
-    scan_sse, scan_d1 = (np.concatenate(part, axis=1) for part in zip(*scan))
     rows = np.arange(len(y))
-    i = np.argmin(scan_sse, axis=1)
+    buf = np.empty((5, len(y), min(_D2_CHUNK, _D2_SCAN.size), d.size))
+    best, scan_d1, i = np.full(len(y), math.inf), np.full(len(y), math.nan), np.zeros(len(y), int)
+    for s in range(0, _D2_SCAN.size, _D2_CHUNK):
+        c_sse, c_d1, k = _profile(d, lo, y, flat, _D2_SCAN[None, s:s + _D2_CHUNK], buf)
+        win = c_sse < best
+        best[win], scan_d1[win], i[win] = c_sse[win], c_d1[win], k[win] + s
     a, b = _D2_SCAN[np.clip([i - 1, i + 1], 0, _D2_SCAN.size - 1)]  # the bracket of i
     steps = np.linspace(0.0, 1.0, _REFINE_POINTS)
-    for _ in range(_REFINE_STAGES):
-        grid = a[:, None] + (b - a)[:, None] * steps
-        ref_sse, ref_d1 = _profile(d, lo, y, flat, grid)
-        j = np.argmin(ref_sse, axis=1)
-        a, b = grid[rows, np.clip([j - 1, j + 1], 0, _REFINE_POINTS - 1)]
-    # (scanned, refined) x curves, each SSE summed from its residuals
-    d1 = np.stack([scan_d1[rows, i], ref_d1[rows, j]])
-    d2 = np.stack([_D2_SCAN[i], grid[rows, j]])
+    d1, d2 = np.empty((2, 2, len(y)))  # (scanned, refined) x curves
+    d1[0], d2[0] = scan_d1, _D2_SCAN[i]
+    buf = np.empty((5, min(_REFINE_ROWS, len(y)), _REFINE_POINTS, d.size))
+    for r in range(0, len(y), _REFINE_ROWS):
+        at = slice(r, r + _REFINE_ROWS)
+        n = rows[:len(rows[at])]
+        for _ in range(_REFINE_STAGES):
+            grid = a[at, None] + (b[at] - a[at])[:, None] * steps
+            _, d1_j, j = _profile(d, lo, y[at], flat[at], grid, buf)
+            a[at], b[at] = grid[n, np.clip([j - 1, j + 1], 0, _REFINE_POINTS - 1)]
+        d1[1, at], d2[1, at] = d1_j, grid[n, j]
+    # each SSE summed from its residuals
     tail = np.exp(-d / d2[..., None])
     r = d1[..., None] / np.maximum(d, d1[..., None]) * (1.0 - tail) + tail - y
     sse = np.sum(r * r, axis=-1)

@@ -315,6 +315,26 @@ class TestCompareCommand:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("models, named", [
+        ("approx-3gpp,approx-3gpp,analytic", "approx-3gpp"),
+        ("analytic,approx-retrained,analytic,approx-retrained", "analytic, approx-retrained"),
+    ])
+    def test_a_model_named_twice_is_a_usage_error(self, tmp_path, capsys, monkeypatch, models, named):
+        import a2glos.cli as cli_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the model list was checked")
+
+        monkeypatch.setattr(cli_mod, "estimate_p_los", forbidden)
+        monkeypatch.setattr(cli_mod, "train_pair", forbidden)
+        code, out = run_cli(["compare", "--scenario", "high-rise", "--htx", "60", "--hrx", "2",
+                             "--f-ghz", "28", "--d", "50,100", "--realizations", "1",
+                             "--links-per-ring", "8", "--models", models, "--layout", "uniform"],
+                            tmp_path)
+        assert code == 2
+        assert f"--models names {named} more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("given", ["--d1-model", "--d2-model"])
     def test_a_lone_model_file_is_a_usage_error(self, tmp_path, capsys, given):
         from a2glos.approx import save_mlp

@@ -80,6 +80,35 @@ class TestCurveFit:
         assert sse < 1e-10
 
 
+class TestCurveFitInputs:
+    """Bad inputs raise before any work: no profile is computed and no
+    floating-point warning is given."""
+
+    @pytest.fixture(autouse=True)
+    def no_profile(self, monkeypatch):
+        from a2glos import fit
+
+        def forbidden(*args):
+            raise AssertionError("a profile was computed")
+
+        monkeypatch.setattr(fit, "_profile", forbidden)
+
+    @pytest.mark.parametrize("curves", [[0.9, 0.8], [[0.9, 0.8], [0.7, 0.6]], [0.9, 0.8, 0.7, 0.6]])
+    def test_curve_length_must_match_the_grid(self, curves):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="a grid of 3 distances"):
+            fit_parametric_curve([10.0, 20.0, 30.0], curves)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0])
+    def test_distances_must_be_finite_and_non_negative(self, bad):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="distances must be finite and >= 0"):
+            fit_parametric_curve([bad, 20.0, 30.0], [0.9, 0.8, 0.7])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_curve_values_must_be_finite(self, bad):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="curve values must be finite"):
+            fit_parametric_curve([10.0, 20.0, 30.0], [[0.9, 0.8, 0.7], [0.9, bad, 0.7]])
+
+
 class TestBuildDataset:
     def test_small_build_and_provenance(self):
         dhs = np.arange(28.5, 420.0, 40.0)
