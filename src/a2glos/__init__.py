@@ -11,11 +11,9 @@ Three mutually validating prediction paths:
 
 from .geometry import (
     SPEED_OF_LIGHT,
-    FresnelAxes,
     FresnelSpec,
     LinkGeometry,
     allowed_height,
-    elevation_angle,
     fresnel_axes,
     fresnel_radius_at,
     wavelength_from_frequency,
@@ -27,7 +25,6 @@ from .environment import (
     building_position,
     get_scenario,
     height_cdf,
-    height_pdf,
     load_scenarios,
     mean_width,
 )
@@ -73,11 +70,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SPEED_OF_LIGHT",
-    "FresnelAxes",
     "FresnelSpec",
     "LinkGeometry",
     "allowed_height",
-    "elevation_angle",
     "fresnel_axes",
     "fresnel_radius_at",
     "wavelength_from_frequency",
@@ -87,7 +82,6 @@ __all__ = [
     "building_position",
     "get_scenario",
     "height_cdf",
-    "height_pdf",
     "load_scenarios",
     "mean_width",
     "max_comm_distance",

@@ -111,10 +111,6 @@ class Mlp:
             if not hi > lo:
                 raise ValueError(f"degenerate normalization range ({lo}, {hi})")
 
-    @property
-    def hidden_neurons(self) -> int:
-        return len(self.input_weights)
-
 
 def mlp_forward(mlp: Mlp, delta_h: ArrayLike) -> float | np.ndarray:
     """Evaluate the network at height differences delta_h [m]: a float for a

@@ -41,15 +41,6 @@ class ScenarioPreset:
     env: Environment
 
 
-def height_pdf(gamma: float, h: float) -> float:
-    """Rayleigh probability density of building height h [1/m]."""
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    if h < 0.0:
-        raise ValueError(f"height must be >= 0, got {h}")
-    return (h / (gamma * gamma)) * math.exp(-h * h / (2.0 * gamma * gamma))
-
-
 def height_cdf(gamma: float, h: float) -> float:
     """Probability that a building is shorter than h; 0 for negative h."""
     if not gamma > 0.0:

@@ -171,10 +171,10 @@ def fit_parametric_curve(d_grid: np.ndarray, curves: np.ndarray):
     """Least-squares (D1, D2) for one curve (n_d,) or a stack (C, n_d).
 
     The best D1 is exact for each D2 of _D2_SCAN; the best D2 is refined in
-    its bracket, and kept only where no worse. Distances (finite, >= 0) come
-    in any order, curve values are finite. Returns (d1, d2, sse), sse summed
-    from the residuals at (d1, d2): floats for one curve, arrays (C,) for a
-    stack. The scan streams _D2_CHUNK values of D2 over all curves, keeping
+    its bracket, and kept only where no worse. Distances (finite, >= 0, at
+    least one > 0) come in any order, curve values are finite. Returns (d1,
+    d2, sse), sse summed from the residuals at (d1, d2): floats for one
+    curve, arrays (C,) for a stack. The scan streams _D2_CHUNK values of D2 over all curves, keeping
     each curve's first best (a later chunk wins by a strictly lower SSE); the
     refinement runs in blocks of _REFINE_ROWS curves. Both work in buffers
     allocated once a call: the memory peak stays bounded, the bits unchanged.
@@ -182,8 +182,8 @@ def fit_parametric_curve(d_grid: np.ndarray, curves: np.ndarray):
     d, stack = np.asarray(d_grid, dtype=float), np.asarray(curves, dtype=float)
     if d.ndim != 1 or stack.ndim not in (1, 2) or stack.shape[-1] != d.size:
         raise ValueError(f"curves of shape {stack.shape} do not match a grid of {d.size} distances")
-    if not np.all((d >= 0.0) & (d < math.inf)):
-        raise ValueError("distances must be finite and >= 0")
+    if not (np.all((d >= 0.0) & (d < math.inf)) and np.any(d > 0.0)):
+        raise ValueError("distances must be finite and >= 0, and one > 0")
     if not np.all(np.isfinite(stack)):
         raise ValueError("curve values must be finite")
     order = np.argsort(d)[::-1]

@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 #: Speed of light in vacuum [m/s], SI exact value.
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -61,15 +64,6 @@ class FresnelSpec:
             raise ValueError(f"order must be a positive integer, got {self.order}")
 
 
-@dataclass(frozen=True)
-class FresnelAxes:
-    """Semi-axes of the Fresnel clearance ellipsoid [m]."""
-
-    x_semi: float
-    y_semi: float
-    z_semi: float
-
-
 def wavelength_from_frequency(frequency_hz: float) -> float:
     """Return the free-space wavelength [m] for a carrier frequency [Hz]."""
     if not frequency_hz > 0.0:
@@ -77,18 +71,20 @@ def wavelength_from_frequency(frequency_hz: float) -> float:
     return SPEED_OF_LIGHT / frequency_hz
 
 
-def fresnel_axes(spec: FresnelSpec, d_rx: float) -> FresnelAxes:
-    """Semi-axes of the order-n Fresnel ellipsoid of a link of length d_rx.
-
-    The transverse semi-axes are ``sqrt(n lambda d)/2`` and the semi-axis
-    along the link is ``sqrt(n lambda d/4 + d^2/4)``.
+def fresnel_axes(spec: FresnelSpec, d: ArrayLike) -> tuple:
+    """Semi-axes (transverse, along) [m] of the order-n Fresnel ellipsoid of
+    a link of length d, ``sqrt(n lambda d)/2`` and ``sqrt(n lambda d/4 +
+    d^2/4)``: floats for a scalar, else arrays of its shape. np.sqrt rounds
+    as math.sqrt does, so each value equals a lone call's bit for bit.
     """
-    if not d_rx > 0.0:
-        raise ValueError(f"d_rx must be > 0, got {d_rx}")
-    n_lambda_d = spec.order * spec.wavelength * d_rx
-    transverse = math.sqrt(n_lambda_d) / 2.0
-    along = math.sqrt(n_lambda_d / 4.0 + d_rx * d_rx / 4.0)
-    return FresnelAxes(x_semi=transverse, y_semi=along, z_semi=transverse)
+    d = np.asarray(d, dtype=float)
+    bad = ~(d > 0.0)
+    if bad.any():
+        raise ValueError(f"link length must be > 0, got {d[bad][0]}")
+    n_lambda_d = spec.order * spec.wavelength * d
+    transverse = np.sqrt(n_lambda_d) / 2.0
+    along = np.sqrt(n_lambda_d / 4.0 + d * d / 4.0)
+    return (float(transverse), float(along)) if d.ndim == 0 else (transverse, along)
 
 
 def fresnel_radius_at(spec: FresnelSpec, d_rx: float, d_los: float) -> float:
@@ -118,8 +114,3 @@ def allowed_height(link: LinkGeometry, spec: FresnelSpec, d_los: float) -> float
     ray_height = link.h_tx - d_los * dh / link.d_rx
     cos_elev = link.d_rx / math.hypot(link.d_rx, dh)
     return ray_height - fresnel_radius_at(spec, link.d_rx, d_los) * cos_elev
-
-
-def elevation_angle(link: LinkGeometry) -> float:
-    """Elevation angle arctan(delta_h / d_rx) [rad], in [0, pi/2)."""
-    return math.atan2(link.delta_h, link.d_rx)

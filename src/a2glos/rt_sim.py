@@ -2,11 +2,11 @@
 
 A city scene with the target area statistics is synthesized as axis-aligned
 box buildings on a regular street grid (heights drawn from the Rayleigh
-law, footprint and spacing fixed by the area parameters). Each building
-contributes 10 triangles (4 walls of 2, 2 for the roof; no floor). A link
-is line-of-sight when no triangle touches its first-order Fresnel
-ellipsoid; with a zero wavelength the test degenerates to segment
-blockage.
+law, footprint and spacing fixed by the area parameters), and held as the
+read-only arrays of a `Scene`. Each building contributes 10 triangles (4
+walls of 2, 2 for the roof; no floor). A link is line-of-sight when no
+triangle touches its first-order Fresnel ellipsoid; with a zero
+wavelength the test degenerates to segment blockage.
 
 Blockage tests are exact: Moller-Trumbore for ray/triangle hits, and for
 the clearance test an affine map takes the ellipsoid to the unit sphere
@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .environment import Environment, mean_width
 from .geometry import FresnelSpec, LinkGeometry, fresnel_axes
@@ -54,59 +55,43 @@ def _subseed(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class Building:
-    """Axis-aligned box with a square footprint."""
+    """One row of `Scene.buildings`: an axis-aligned box with a square footprint."""
 
     center_x: float
     center_y: float
     width: float
     height: float
 
-    def __post_init__(self) -> None:
-        _check_boxes(np.array([self.width]), np.array([self.height]))
-
-
-def _check_boxes(widths: np.ndarray, heights: np.ndarray) -> None:
-    for name, values in (("width", widths), ("height", heights)):
-        bad = ~(values > 0.0)
-        if bad.any():
-            raise ValueError(f"{name} must be > 0, got {values[bad][0]}")
-
 
 class Scene:
-    """Synthesized city as arrays: building centres (n, 2), footprint widths
-    and heights (n,), plus the scene side and seed. `buildings` is derived
-    on first use; the blockage tests triangulate only the buildings they
-    keep (`_triangulate`).
+    """Box buildings as read-only float arrays, centres (n, 2), footprint
+    widths and heights (n,), plus the scene side and seed. The arrays are
+    non-writeable views: the caller's own stay writeable. `buildings` holds
+    the same boxes as records, derived on first use.
     """
 
-    def __init__(self, buildings: Sequence[Building], extent: float, seed: int):
-        table = np.array([(b.center_x, b.center_y, b.width, b.height) for b in buildings], dtype=float)
-        table = table.reshape(-1, 4)
-        self._init(table[:, :2], table[:, 2], table[:, 3], extent, seed)
-
-    @classmethod
-    def from_arrays(
-        cls, centers: np.ndarray, widths: np.ndarray, heights: np.ndarray, extent: float, seed: int
-    ) -> Scene:
-        scene = cls.__new__(cls)
-        scene._init(centers, widths, heights, extent, seed)
-        return scene
-
-    def _init(self, centers, widths, heights, extent, seed) -> None:
-        self._widths = np.asarray(widths, dtype=float)
-        self._heights = np.asarray(heights, dtype=float)
-        _check_boxes(self._widths, self._heights)
-        self._centers = np.asarray(centers, dtype=float).reshape(len(self._widths), 2)
+    def __init__(self, centers: ArrayLike, widths: ArrayLike, heights: ArrayLike,
+                 extent: float, seed: int):
+        self.widths, self.heights = (np.asarray(v, dtype=float).view() for v in (widths, heights))
+        if self.widths.ndim != 1 or self.heights.shape != self.widths.shape:
+            raise ValueError(f"widths {self.widths.shape}, heights {self.heights.shape}: not 1-D of one length")
+        for name, values in (("width", self.widths), ("height", self.heights)):
+            bad = ~(values > 0.0)
+            if bad.any():
+                raise ValueError(f"{name} must be > 0, got {values[bad][0]}")
+        self.centers = np.asarray(centers, dtype=float).reshape(len(self.widths), 2)
+        for values in (self.centers, self.widths, self.heights):
+            values.flags.writeable = False
         self.extent = float(extent)
         self.seed = int(seed)
 
     @cached_property
     def buildings(self) -> tuple[Building, ...]:
-        columns = (self._centers[:, 0], self._centers[:, 1], self._widths, self._heights)
+        columns = (self.centers[:, 0], self.centers[:, 1], self.widths, self.heights)
         return tuple(map(Building, *(c.tolist() for c in columns)))
 
     def __len__(self) -> int:
-        return len(self._widths)
+        return len(self.widths)
 
 
 def _triangulate(centers: np.ndarray, widths: np.ndarray, heights: np.ndarray) -> np.ndarray:
@@ -202,12 +187,12 @@ def synthesize_scene(
     else:
         raise ValueError(f"layout must be 'grid' or 'uniform', got {layout!r}")
     heights = sample_heights(env.gamma, len(centers), rng)
-    return Scene.from_arrays(centers, np.full(len(centers), width), heights, extent, seed)
+    return Scene(centers, np.full(len(centers), width), heights, extent, seed)
 
 
 def scene_csv_lines(scene: Scene) -> list[str]:
     """A provenance header and `center_x,center_y,width,height` rows."""
-    columns = (scene._centers[:, 0], scene._centers[:, 1], scene._widths, scene._heights)
+    columns = (scene.centers[:, 0], scene.centers[:, 1], scene.widths, scene.heights)
     rows = zip(*(map(repr, c.tolist()) for c in columns))
     header = [f"# extent={scene.extent!r} seed={scene.seed}", "center_x,center_y,width,height"]
     return header + [",".join(row) for row in rows]
@@ -264,15 +249,15 @@ def _candidate_triangles(scene: Scene, p0: np.ndarray, p1: np.ndarray, clearance
     a = p0[:2]
     seg = p1[:2] - a
     seg_len_sq = float(seg @ seg)
-    rel = scene._centers - a
+    rel = scene.centers - a
     if seg_len_sq == 0.0:
         dist = np.linalg.norm(rel, axis=1)
     else:
         t = np.clip((rel @ seg) / seg_len_sq, 0.0, 1.0)
         dist = np.linalg.norm(rel - t[:, None] * seg, axis=1)
-    radius = scene._widths * (math.sqrt(2.0) / 2.0) + clearance
+    radius = scene.widths * (math.sqrt(2.0) / 2.0) + clearance
     idx = np.nonzero(dist <= radius)[0]
-    return _triangulate(scene._centers[idx], scene._widths[idx], scene._heights[idx])
+    return _triangulate(scene.centers[idx], scene.widths[idx], scene.heights[idx])
 
 
 def los_blocked_geometric(scene: Scene, tx: Sequence[float], rx: Sequence[float]) -> bool:
@@ -358,10 +343,10 @@ def los_blocked_fresnel(
     separation = float(np.linalg.norm(p1 - p0))
     if separation == 0.0:
         raise ValueError("tx and rx coincide")
-    axes = fresnel_axes(spec, separation)
-    if axes.x_semi == 0.0:
+    transverse, along = fresnel_axes(spec, separation)
+    if transverse == 0.0:
         return los_blocked_geometric(scene, tx, rx)
-    tris = _candidate_triangles(scene, p0, p1, clearance=axes.x_semi + _CULL_MARGIN)
+    tris = _candidate_triangles(scene, p0, p1, clearance=transverse + _CULL_MARGIN)
     if len(tris) == 0:
         return False
     center = 0.5 * (p0 + p1)
@@ -370,7 +355,7 @@ def los_blocked_fresnel(
     # Rows transverse/axial/transverse; scaling sends the ellipsoid to the
     # unit sphere at the origin.
     frame = np.stack([v, axis_unit, w])
-    scale = np.array([axes.x_semi, axes.y_semi, axes.z_semi])
+    scale = np.array([transverse, along, transverse])
     mapped = ((tris - center) @ frame.T) / scale
     dist_sq = _point_triangle_dist_sq(mapped[:, 0], mapped[:, 1], mapped[:, 2])
     return bool(np.any(dist_sq <= 1.0))
@@ -421,9 +406,7 @@ def _link_fan(
     tx = np.array([0.0, 0.0, h_tx])
     delta = rx - tx
     length = np.linalg.norm(delta, axis=2)
-    n_lambda_d = spec.order * spec.wavelength * length  # fresnel_axes over the whole fan
-    x_semi = np.sqrt(n_lambda_d) / 2.0
-    semi_axes = np.stack([x_semi, np.sqrt(n_lambda_d / 4.0 + length * length / 4.0), x_semi], axis=-1)
+    x_semi, along = fresnel_axes(spec, length)
     geometric = spec.wavelength == 0.0
     clearance = (
         np.full_like(length, _SEGMENT_CLEARANCE) if geometric else x_semi + _CULL_MARGIN
@@ -437,7 +420,7 @@ def _link_fan(
         unit=unit,
         ground=ground,
         length=length,
-        semi_axes=semi_axes,
+        semi_axes=np.stack([x_semi, along, x_semi], axis=-1),
         frame=np.stack([v, axis_unit, w], axis=2),
         clearance=clearance,
         corridor=x_semi.max(axis=1) + _CULL_MARGIN,
@@ -468,16 +451,16 @@ def _fan_candidates(
     masks, over blocks of azimuths of at most ``_CULL_ELEMENTS`` pairs.
     """
     n_az, n_rings = fan.ground.shape
-    radius = scene._widths * (math.sqrt(2.0) / 2.0)
-    half_w = scene._widths / 2.0
+    radius = scene.widths * (math.sqrt(2.0) / 2.0)
+    half_w = scene.widths / 2.0
     valid = np.ones((n_az, n_rings), dtype=bool)
     link, building = [], []
     step = max(1, _CULL_ELEMENTS // max(len(scene), 1))
     for start in range(0, n_az, step):
         block = slice(start, start + step)
         ux, uy = fan.unit[block].T
-        along = scene._centers @ fan.unit[block].T  # (N, B)
-        across = scene._centers @ np.stack([-uy, ux])
+        along = scene.centers @ fan.unit[block].T  # (N, B)
+        across = scene.centers @ np.stack([-uy, ux])
         reach = radius[:, None] + fan.corridor[block]
         b, k = np.nonzero(
             (np.abs(across) <= reach) & (along >= -reach)
@@ -485,7 +468,7 @@ def _fan_candidates(
         )
         along = along[b, k][:, None]
         k += start
-        cx, cy = scene._centers[b].T[..., None]
+        cx, cy = scene.centers[b].T[..., None]
         r, hw = radius[b, None], half_w[b, None]
         rx = fan.rx[k]  # (P, R, 3)
         pair, ring = np.nonzero(
@@ -498,7 +481,7 @@ def _fan_candidates(
                            <= r + fan.clearance[k])
         slope = (fan.tx[2] - rx[..., 2]) / fan.ground[k]
         dip = np.maximum((along - r) * slope, (along + r) * slope)
-        keep &= scene._heights[b, None] >= fan.tx[2] - dip - fan.drop[k]
+        keep &= scene.heights[b, None] >= fan.tx[2] - dip - fan.drop[k]
         pair, ring = np.nonzero(keep)
         link.append(k[pair] * n_rings + ring)
         building.append(b[pair])
@@ -510,7 +493,7 @@ def _pairs_blocked(
 ) -> np.ndarray:
     """Whether each building touches its link's clearance zone (or, at zero
     wavelength, cuts its segment); ``link`` indexes the flattened fan."""
-    tris = _triangulate(scene._centers[building], scene._widths[building], scene._heights[building])
+    tris = _triangulate(scene.centers[building], scene.widths[building], scene.heights[building])
     row_link = np.repeat(link, 10)
     if fan.geometric:
         axial = fan.frame.reshape(-1, 3, 3)[row_link, 1]
@@ -538,9 +521,9 @@ def _segments_cross_boxes(
     direction component gives an infinite slab when the TX is strictly
     inside it, an empty one outside, and NaN (no verdict) on its boundary.
     """
-    half = scene._widths[building, None] / 2.0
-    lo = np.column_stack([scene._centers[building] - half, np.zeros(building.size)])
-    hi = np.column_stack([scene._centers[building] + half, scene._heights[building]])
+    half = scene.widths[building, None] / 2.0
+    lo = np.column_stack([scene.centers[building] - half, np.zeros(building.size)])
+    hi = np.column_stack([scene.centers[building] + half, scene.heights[building]])
     direction = fan.rx.reshape(-1, 3)[link] - fan.tx
     with np.errstate(divide="ignore", invalid="ignore"):
         t_lo = (lo - fan.tx) / direction

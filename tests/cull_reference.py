@@ -3,7 +3,8 @@ before it ran the culls over every azimuth at once.
 
 ``tests/test_rt_sim.py`` checks that ``rt_sim._fan_candidates`` keeps the
 same receivers and (link, building) pairs as :func:`azimuth_candidates`,
-so the body below is kept verbatim and must not be edited.
+so the body below is kept as it was and must not be edited, apart from
+reading the scene's arrays by their public names.
 """
 
 from __future__ import annotations
@@ -18,19 +19,19 @@ def azimuth_candidates(scene, fan, k: int) -> tuple[np.ndarray, np.ndarray, np.n
     survive the corridor, bounding-circle and roof-height culls."""
     rx = fan.rx[k]
     none = np.zeros(0, dtype=np.intp)
-    radius = scene._widths * (math.sqrt(2.0) / 2.0)
+    radius = scene.widths * (math.sqrt(2.0) / 2.0)
     ux, uy = fan.unit[k]
-    along = scene._centers @ fan.unit[k]
+    along = scene.centers @ fan.unit[k]
     reach = radius + fan.corridor[k]
     near = np.nonzero(
-        (np.abs(scene._centers @ np.array([-uy, ux])) <= reach)
+        (np.abs(scene.centers @ np.array([-uy, ux])) <= reach)
         & (along >= -reach)
         & (along <= fan.ground[k].max() + reach)
     )[0]
     along = along[near]
-    centers = scene._centers[near]
+    centers = scene.centers[near]
     radius = radius[near]
-    half_w = scene._widths[near] / 2.0
+    half_w = scene.widths[near] / 2.0
     valid = ~(
         (np.abs(rx[:, 0][:, None] - centers[:, 0]) <= half_w)
         & (np.abs(rx[:, 1][:, None] - centers[:, 1]) <= half_w)
@@ -49,7 +50,7 @@ def azimuth_candidates(scene, fan, k: int) -> tuple[np.ndarray, np.ndarray, np.n
     slope = (fan.tx[2] - rx[links, 2])[:, None] / fan.ground[k, links][:, None]
     dip = np.maximum((along - radius) * slope, (along + radius) * slope)
     floor = fan.tx[2] - dip - fan.drop[k, links][:, None]
-    keep &= scene._heights[near] >= floor
+    keep &= scene.heights[near] >= floor
 
     pair_link, pair_building = np.nonzero(keep)
     return valid, links[pair_link], near[pair_building]

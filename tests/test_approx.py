@@ -271,7 +271,7 @@ class TestReferenceWeights:
         for name in ("suburban", "urban", "dense-urban", "high-rise"):
             for param in ("d1", "d2"):
                 mlp = reference_mlp(name, param)
-                assert mlp.hidden_neurons == 4
+                assert len(mlp.input_weights) == 4
 
     def test_unknown_lookups(self):
         with pytest.raises(KeyError):

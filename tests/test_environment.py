@@ -9,7 +9,6 @@ from a2glos.environment import (
     building_position,
     get_scenario,
     height_cdf,
-    height_pdf,
     load_scenarios,
     mean_width,
 )
@@ -28,24 +27,6 @@ class TestEnvironmentType:
 
 
 class TestHeightLaw:
-    def test_pdf_zero_at_ground(self):
-        assert height_pdf(15.0, 0.0) == 0.0
-
-    def test_pdf_mode(self):
-        gamma = 15.0
-        assert height_pdf(gamma, gamma) == pytest.approx(math.exp(-0.5) / gamma, rel=1e-12)
-
-    def test_pdf_integrates_to_one(self):
-        # quadrature oracle: fine trapezoid far into the tail
-        gamma = 15.0
-        h = np.linspace(0.0, 30.0 * gamma, 200_001)
-        pdf = np.array([height_pdf(gamma, x) for x in h])
-        assert np.trapezoid(pdf, h) == pytest.approx(1.0, abs=1e-6)
-
-    def test_pdf_rejects_negative_height(self):
-        with pytest.raises(ValueError):
-            height_pdf(15.0, -0.1)
-
     def test_cdf_median_and_limits(self):
         gamma = 15.0
         assert height_cdf(gamma, gamma * math.sqrt(2.0 * math.log(2.0))) == pytest.approx(0.5, rel=1e-12)

@@ -93,6 +93,12 @@ class TestCurveFitInputs:
 
         monkeypatch.setattr(fit, "_profile", forbidden)
 
+    @pytest.mark.parametrize("d, curves", [([0.0], [0.5]), ([0.0, 0.0], [0.5, 0.7]), ([], [])])
+    def test_grid_needs_a_positive_distance(self, d, curves):
+        # all u = 0 made D1 = 0/0; an empty grid failed inside the profile
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="and one > 0"):
+            fit_parametric_curve(d, curves)
+
     @pytest.mark.parametrize("curves", [[0.9, 0.8], [[0.9, 0.8], [0.7, 0.6]], [0.9, 0.8, 0.7, 0.6]])
     def test_curve_length_must_match_the_grid(self, curves):
         with np.errstate(all="raise"), pytest.raises(ValueError, match="a grid of 3 distances"):

@@ -8,7 +8,6 @@ from a2glos.geometry import (
     FresnelSpec,
     LinkGeometry,
     allowed_height,
-    elevation_angle,
     fresnel_axes,
     fresnel_radius_at,
     wavelength_from_frequency,
@@ -74,20 +73,18 @@ class TestFresnelSpec:
 
 class TestFresnelAxes:
     def test_reference_case(self):
-        axes = fresnel_axes(FresnelSpec(0.05), 1000.0)
-        assert axes.x_semi == pytest.approx(3.5355339059327378, rel=1e-12)
-        assert axes.z_semi == axes.x_semi
-        assert axes.y_semi == pytest.approx(500.0124998437539, rel=1e-12)
+        transverse, along = fresnel_axes(FresnelSpec(0.05), 1000.0)
+        assert type(transverse) is float and type(along) is float
+        assert transverse == pytest.approx(3.5355339059327378, rel=1e-12)
+        assert along == pytest.approx(500.0124998437539, rel=1e-12)
 
     def test_order_four_doubles_the_transverse_axis(self):
-        base = fresnel_axes(FresnelSpec(0.05, order=1), 777.0)
-        wide = fresnel_axes(FresnelSpec(0.05, order=4), 777.0)
-        assert wide.x_semi == pytest.approx(2.0 * base.x_semi, rel=1e-12)
+        base, _ = fresnel_axes(FresnelSpec(0.05, order=1), 777.0)
+        wide, _ = fresnel_axes(FresnelSpec(0.05, order=4), 777.0)
+        assert wide == pytest.approx(2.0 * base, rel=1e-12)
 
     def test_zero_wavelength_collapses_to_the_segment(self):
-        axes = fresnel_axes(FresnelSpec(0.0), 800.0)
-        assert axes.x_semi == 0.0 and axes.z_semi == 0.0
-        assert axes.y_semi == 400.0
+        assert fresnel_axes(FresnelSpec(0.0), 800.0) == (0.0, 400.0)
 
     def test_shape_invariants_random(self):
         rng = np.random.default_rng(42)
@@ -95,9 +92,30 @@ class TestFresnelAxes:
             lam = rng.uniform(1e-4, 0.5)
             n = int(rng.integers(1, 5))
             d = rng.uniform(n * lam, 5000.0)
-            axes = fresnel_axes(FresnelSpec(lam, order=n), d)
-            assert axes.x_semi == axes.z_semi
-            assert axes.y_semi >= axes.x_semi
+            transverse, along = fresnel_axes(FresnelSpec(lam, order=n), d)
+            assert along >= transverse
+
+    @pytest.mark.parametrize("spec", [FresnelSpec(0.0107), FresnelSpec(0.125, order=3),
+                                      FresnelSpec(0.0)])
+    def test_array_equals_the_scalar_calls_bit_for_bit(self, spec):
+        rng = np.random.default_rng(5)
+        d = np.concatenate([rng.uniform(1e-3, 5000.0, 500), [1e-300, 1.0, 2.0, 1e12]])
+        transverse, along = fresnel_axes(spec, d.reshape(4, -1))
+        assert transverse.shape == along.shape == (4, 126)
+        want = np.array([fresnel_axes(spec, x) for x in d.tolist()])
+        assert transverse.ravel().tobytes() == want[:, 0].tobytes()
+        assert along.ravel().tobytes() == want[:, 1].tobytes()
+        # the scalar formula of math.sqrt, in the same order of operations
+        n_lambda = spec.order * spec.wavelength
+        by_math = [[math.sqrt(n_lambda * x) / 2.0, math.sqrt(n_lambda * x / 4.0 + x * x / 4.0)]
+                   for x in d.tolist()]
+        assert want.tolist() == by_math
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.0, math.nan])
+    def test_rejects_a_non_positive_length_anywhere(self, bad):
+        for d in (bad, [100.0, bad, 300.0], [[100.0, 200.0], [300.0, bad]]):
+            with pytest.raises(ValueError, match="link length must be > 0"):
+                fresnel_axes(FresnelSpec(0.05), d)
 
 
 class TestFresnelRadius:
@@ -170,24 +188,3 @@ class TestAllowedHeight:
         link = LinkGeometry(70.0, 1.5, 1000.0)
         with pytest.raises(ValueError):
             allowed_height(link, FresnelSpec(0.05), 1000.1)
-
-
-class TestElevationAngle:
-    def test_equal_legs_give_quarter_pi(self):
-        assert elevation_angle(LinkGeometry(500.0, 2.0, 498.0)) == pytest.approx(
-            math.pi / 4.0, rel=1e-12
-        )
-        assert elevation_angle(LinkGeometry(101.0, 1.0, 100.0)) == pytest.approx(
-            math.pi / 4.0, rel=1e-12
-        )
-
-    def test_level_link_is_zero(self):
-        assert elevation_angle(LinkGeometry(5.0, 5.0, 100.0)) == 0.0
-
-    def test_range(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            h_rx = rng.uniform(0.0, 10.0)
-            link = LinkGeometry(h_rx + rng.uniform(0.0, 2000.0) + 0.1, h_rx, rng.uniform(0.1, 2000.0))
-            theta = elevation_angle(link)
-            assert 0.0 <= theta < math.pi / 2.0

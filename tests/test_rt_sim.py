@@ -17,7 +17,6 @@ from a2glos.geometry import (
     wavelength_from_frequency,
 )
 from a2glos.rt_sim import (
-    Building,
     Scene,
     _candidate_triangles,
     _fan_candidates,
@@ -57,9 +56,15 @@ def solve_oracle(origin, direction, tri):
     return None
 
 
+def box_scene(*boxes, extent=1000.0):
+    """A hand-made scene of (center_x, center_y, width, height) boxes."""
+    table = np.array(boxes, dtype=float).reshape(-1, 4)
+    return Scene(table[:, :2], table[:, 2], table[:, 3], extent, seed=0)
+
+
 def mesh(scene):
     """The scene's full mesh: every building triangulated, in building order."""
-    return _triangulate(scene._centers, scene._widths, scene._heights)
+    return _triangulate(scene.centers, scene.widths, scene.heights)
 
 
 def brute_distance_to_origin(tri, steps=400):
@@ -71,14 +76,6 @@ def brute_distance_to_origin(tri, steps=400):
     u, v = i[keep, None] / steps, j[keep, None] / steps
     p = a + u * (b - a) + v * (c - a)
     return math.sqrt(float(np.min(np.einsum("ij,ij->i", p, p))))
-
-
-class TestTypes:
-    def test_building_validation(self):
-        with pytest.raises(ValueError):
-            Building(0.0, 0.0, 0.0, 5.0)
-        with pytest.raises(ValueError):
-            Building(0.0, 0.0, 5.0, -1.0)
 
 
 class TestSceneSynthesis:
@@ -144,13 +141,12 @@ class TestSceneArrays:
     @pytest.mark.parametrize("layout", ["grid", "uniform"])
     def test_hand_built_scene_equals_the_array_path(self, layout):
         built = synthesize_scene(get_scenario("high-rise").env, 500.0, seed=6, layout=layout)
-        hand = Scene(built.buildings, built.extent, built.seed)
-        for name in ("_centers", "_widths", "_heights"):
+        hand = box_scene(*map(dataclasses.astuple, built.buildings), extent=built.extent)
+        for name in ("centers", "widths", "heights"):
             assert np.array_equal(getattr(hand, name), getattr(built, name))
             assert getattr(hand, name).dtype == float
         assert hand.buildings == built.buildings
-        assert all(type(v) is float for b in built.buildings for v in vars(b).values())
-        assert (hand.extent, hand.seed, len(hand)) == (built.extent, built.seed, len(built))
+        assert (hand.extent, len(hand)) == (built.extent, len(built))
         assert np.array_equal(mesh(hand), mesh(built))
         assert mesh(built).shape == (10 * len(built), 3, 3)
 
@@ -162,12 +158,42 @@ class TestSceneArrays:
     ])
     def test_array_path_rejects_degenerate_boxes(self, widths, heights):
         with pytest.raises(ValueError, match="must be > 0"):
-            Scene.from_arrays(np.zeros((2, 2)), np.array(widths), np.array(heights), 100.0, 0)
+            Scene(np.zeros((2, 2)), np.array(widths), np.array(heights), 100.0, 0)
+
+    @pytest.mark.parametrize("widths, heights", [
+        ([20.0, 20.0], [5.0]),
+        ([20.0], [5.0, 5.0]),
+        ([[20.0, 20.0]], [[5.0, 5.0]]),
+        (20.0, 5.0),
+    ])
+    def test_widths_and_heights_must_be_one_row_per_building(self, widths, heights):
+        # a short heights array would drop CSV rows and fail in the blockage tests
+        with pytest.raises(ValueError, match="not 1-D of one length"):
+            Scene(np.zeros((2, 2)), widths, heights, 100.0, 0)
 
     def test_empty_scene(self):
-        scene = Scene([], extent=100.0, seed=0)
+        scene = box_scene(extent=100.0)
         assert len(scene) == 0 and scene.buildings == ()
         assert mesh(scene).shape == (0, 3, 3)
+
+    def test_arrays_are_read_only_views_of_writeable_inputs(self):
+        centers, widths, heights = np.array([[1.0, 2.0], [3.0, 4.0]]), np.full(2, 5.0), np.ones(2)
+        scene = Scene(centers, widths, heights, 100.0, 0)
+        for name, given in (("centers", centers), ("widths", widths), ("heights", heights)):
+            stored = getattr(scene, name)
+            assert np.shares_memory(stored, given) and np.array_equal(stored, given)
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 7.0
+            assert given.flags.writeable
+            given[0] = 7.0  # the caller's array stays writeable
+
+    @pytest.mark.parametrize("layout", ["grid", "uniform"])
+    def test_buildings_are_the_array_rows_as_floats(self, layout):
+        # the fields perfbench's blockage check reads off each building
+        scene = synthesize_scene(URBAN, 500.0, seed=4, layout=layout)
+        rows = np.column_stack([scene.centers, scene.widths, scene.heights]).tolist()
+        assert [dataclasses.astuple(b) for b in scene.buildings] == [tuple(r) for r in rows]
+        assert all(type(v) is float for b in scene.buildings for v in dataclasses.astuple(b))
 
 
 class TestRayTriangle:
@@ -293,19 +319,18 @@ class TestDistanceOracle:
 
 class TestBlockage:
     def test_empty_scene_blocks_nothing(self):
-        scene = Scene([], extent=1000.0, seed=0)
+        scene = box_scene()
         assert not los_blocked_geometric(scene, (0, 0, 30.0), (500.0, 0, 2.0))
         assert not los_blocked_fresnel(scene, (0, 0, 30.0), (500.0, 0, 2.0), SPEC28)
 
     def test_single_blocker_across_the_path(self):
-        tall = Building(250.0, 0.0, 30.0, 50.0)
-        scene = Scene([tall], extent=1000.0, seed=0)
+        scene = box_scene((250.0, 0.0, 30.0, 50.0))
         assert los_blocked_geometric(scene, (0, 0, 30.0), (500.0, 0, 2.0))
         # same building, link passing beside it
         assert not los_blocked_geometric(scene, (0, 0, 30.0), (0.0, 500.0, 2.0))
 
     def test_coincident_terminals_rejected(self):
-        scene = Scene([], extent=100.0, seed=0)
+        scene = box_scene(extent=100.0)
         with pytest.raises(ValueError):
             los_blocked_geometric(scene, (1, 2, 3), (1, 2, 3))
 
@@ -353,7 +378,7 @@ class TestBlockage:
         limit = allowed_height(link, SPEC28, d / 2.0)
         for offset, expect_blocked in ((-1.0, False), (1.0, True)):
             roof = limit + offset
-            scene = Scene([Building(d / 2.0, 0.0, 20.0, roof)], extent=2000.0, seed=0)
+            scene = box_scene((d / 2.0, 0.0, 20.0, roof), extent=2000.0)
             got = los_blocked_fresnel(scene, (0, 0, h), (d, 0, h), SPEC28)
             assert got == expect_blocked, f"roof at limit{offset:+}"
 
@@ -361,7 +386,7 @@ class TestBlockage:
         # roof grazing just under the direct ray still cuts the zone
         h = 30.0
         d = 400.0
-        scene = Scene([Building(200.0, 0.0, 20.0, h - 0.2)], extent=2000.0, seed=0)
+        scene = box_scene((200.0, 0.0, 20.0, h - 0.2), extent=2000.0)
         assert not los_blocked_geometric(scene, (0, 0, h), (d, 0, h))
         assert los_blocked_fresnel(scene, (0, 0, h), (d, 0, h), SPEC28)
 
@@ -479,7 +504,7 @@ class TestFanCull:
 
     def test_empty_scene_keeps_no_pairs(self):
         fan = _link_fan(SPEC28, 100.0, 2.0, [50.0, 100.0], 8)
-        valid, link, building = _fan_candidates(Scene([], extent=300.0, seed=0), fan)
+        valid, link, building = _fan_candidates(box_scene(extent=300.0), fan)
         assert valid.all() and link.size == building.size == 0
 
 
@@ -492,8 +517,7 @@ class TestLinkFan:
     ])
     def test_semi_axes_equal_the_scalar_axes_bit_for_bit(self, spec):
         fan = _link_fan(spec, 120.0, 2.0, [30.0, 250.0, 777.7, 1000.0], 12)
-        want = [[[a.x_semi, a.y_semi, a.z_semi]
-                 for a in (fresnel_axes(spec, float(sep)) for sep in row)]
+        want = [[[t, a, t] for t, a in (fresnel_axes(spec, float(sep)) for sep in row)]
                 for row in fan.length]
         assert fan.semi_axes.tolist() == want
 
@@ -525,13 +549,13 @@ class TestBatchedVerdicts:
         for r in range(self.REALIZATIONS):
             scene = realization_scene(env, extent, seed, r, layout=layout)
             valid, blocked = _scene_verdicts(scene, fan)
-            half_w = scene._widths / 2.0
+            half_w = scene.widths / 2.0
             for k in range(self.LINKS_PER_RING):
                 for i in range(len(self.D_GRID)):
                     rx = fan.rx[k, i]
                     inside = np.any(
-                        (np.abs(rx[0] - scene._centers[:, 0]) <= half_w)
-                        & (np.abs(rx[1] - scene._centers[:, 1]) <= half_w)
+                        (np.abs(rx[0] - scene.centers[:, 0]) <= half_w)
+                        & (np.abs(rx[1] - scene.centers[:, 1]) <= half_w)
                     )
                     assert valid[k, i] == (not inside), (r, k, i)
                     if inside:
@@ -555,7 +579,7 @@ class TestBatchedVerdicts:
         fan = _link_fan(SPEC28, h_tx, h_rx, [300.0], 1)
         verdicts = []
         for roof in np.linspace(26.0, 31.0, 51):
-            scene = Scene([Building(150.0, offset, 20.0, roof)], extent=1000.0, seed=0)
+            scene = box_scene((150.0, offset, 20.0, roof))
             valid, blocked = _scene_verdicts(scene, fan)
             expected = los_blocked_fresnel(scene, fan.tx, fan.rx[0, 0], SPEC28)
             assert valid[0, 0] and blocked[0, 0] == expected, roof
@@ -572,7 +596,7 @@ class TestBatchedVerdicts:
         center = 150.0 / math.sqrt(2.0)
         verdicts = []
         for roof in np.linspace(128.0, 140.0, 61):
-            scene = Scene([Building(center, center, 20.0, roof)], extent=1000.0, seed=0)
+            scene = box_scene((center, center, 20.0, roof))
             valid, blocked = _scene_verdicts(scene, fan)
             expected = los_blocked_fresnel(scene, fan.tx, fan.rx[1, 0], spec)
             assert valid.all() and blocked[1, 0] == expected, roof
@@ -609,7 +633,7 @@ class TestCrossingPreTest:
         flag = _segments_cross_boxes(scene, fan, link, building).reshape(-1, n)
         rx = fan.rx.reshape(-1, 3)
         for i, b in zip(*np.nonzero(flag)):
-            alone = Scene([scene.buildings[b]], extent=scene.extent, seed=0)
+            alone = box_scene(dataclasses.astuple(scene.buildings[b]), extent=scene.extent)
             assert los_blocked_fresnel(alone, fan.tx, rx[i], spec), (i, b)
         valid, blocked = _scene_verdicts(scene, fan)
         for k, i in zip(*np.nonzero(valid)):
@@ -619,12 +643,12 @@ class TestCrossingPreTest:
     def test_links_along_the_axes(self):
         # azimuth 0 has a zero y component; azimuth 90 a tiny x component
         fan = _link_fan(SPEC28, 60.0, 2.0, [300.0], 4)
-        scene = Scene([
-            Building(150.0, 0.0, 20.0, 40.0),  # across the 0-degree track
-            Building(150.0, 10.0, 20.0, 40.0),  # wall in the plane of that track
-            Building(150.0, 10.5, 20.0, 40.0),  # wall 0.5 m beside it
-            Building(0.0, 150.0, 20.0, 40.0),  # across the 90-degree track
-        ], extent=1000.0, seed=0)
+        scene = box_scene(
+            (150.0, 0.0, 20.0, 40.0),  # across the 0-degree track
+            (150.0, 10.0, 20.0, 40.0),  # wall in the plane of that track
+            (150.0, 10.5, 20.0, 40.0),  # wall 0.5 m beside it
+            (0.0, 150.0, 20.0, 40.0),  # across the 90-degree track
+        )
         flag = self.flags(scene, fan, SPEC28)
         assert flag[0].tolist() == [True, False, False, False]
         assert flag[1].tolist() == [False, False, False, True]
@@ -634,16 +658,16 @@ class TestCrossingPreTest:
         rx = fan.rx.copy()
         rx[1, 0, 0] = 0.0  # the 90-degree link exactly along the y axis
         fan = dataclasses.replace(fan, rx=rx)
-        scene = Scene([
-            Building(5.0, 150.0, 20.0, 40.0),  # TX strictly inside the x slab
-            Building(10.0, 150.0, 20.0, 40.0),  # TX on the slab's boundary
-            Building(-10.5, 150.0, 20.0, 40.0),  # TX outside the slab
-        ], extent=1000.0, seed=0)
+        scene = box_scene(
+            (5.0, 150.0, 20.0, 40.0),  # TX strictly inside the x slab
+            (10.0, 150.0, 20.0, 40.0),  # TX on the slab's boundary
+            (-10.5, 150.0, 20.0, 40.0),  # TX outside the slab
+        )
         link = np.ones(3, dtype=np.intp)
         flag = _segments_cross_boxes(scene, fan, link, np.arange(3))
         assert flag.tolist() == [True, False, False]
         for b in range(2):
-            alone = Scene([scene.buildings[b]], extent=1000.0, seed=0)
+            alone = box_scene(dataclasses.astuple(scene.buildings[b]))
             assert los_blocked_fresnel(alone, fan.tx, rx[1, 0], SPEC28)
 
     def test_diagonal_link_through_the_corners(self):
@@ -655,7 +679,7 @@ class TestCrossingPreTest:
         corner = 80.0 * fan.unit[1]
         misses = []
         for roof in range(240, 260):  # 4 to 51 m above the segment
-            scene = Scene([Building(corner[0], corner[1], 20.0, roof)], extent=1000.0, seed=0)
+            scene = box_scene((corner[0], corner[1], 20.0, roof))
             assert self.flags(scene, fan, SPEC28)[1, 0]
             expected = los_blocked_geometric(scene, geometric.tx, geometric.rx[1, 0])
             valid, blocked = _scene_verdicts(scene, geometric)
@@ -666,7 +690,7 @@ class TestCrossingPreTest:
     @pytest.mark.parametrize("gap", [0.0, 1e-6])
     def test_receiver_flush_against_a_wall(self, gap):
         fan = _link_fan(SPEC28, 60.0, 2.0, [300.0], 1)
-        scene = Scene([Building(310.0 + gap, 0.0, 20.0, 40.0)], extent=1000.0, seed=0)
+        scene = box_scene((310.0 + gap, 0.0, 20.0, 40.0))
         assert not self.flags(scene, fan, SPEC28).any()  # the crossing is at t = 1
         assert los_blocked_fresnel(scene, fan.tx, fan.rx[0, 0], SPEC28)
         valid, blocked = _scene_verdicts(scene, fan)
@@ -674,11 +698,11 @@ class TestCrossingPreTest:
 
     def test_tx_inside_overlapping_uniform_buildings(self):
         fan = _link_fan(SPEC28, 60.0, 2.0, [100.0, 300.0], 8)
-        scene = Scene([
-            Building(0.0, 0.0, 20.0, 80.0),  # holds the TX
-            Building(8.0, 3.0, 20.0, 70.0),  # overlaps it, and holds the TX too
-            Building(-9.9995, 0.0, 20.0, 80.0),  # its wall 0.5 mm from the TX
-        ], extent=1000.0, seed=0)
+        scene = box_scene(
+            (0.0, 0.0, 20.0, 80.0),  # holds the TX
+            (8.0, 3.0, 20.0, 70.0),  # overlaps it, and holds the TX too
+            (-9.9995, 0.0, 20.0, 80.0),  # its wall 0.5 mm from the TX
+        )
         flag = self.flags(scene, fan, SPEC28)
         assert flag[:, :2].all()  # every link leaves through their walls
         assert not flag[0, 2] and not flag[1, 2]  # too near the TX on the 0-degree links
@@ -687,7 +711,7 @@ class TestCrossingPreTest:
         # the segment leaves the TX's building through its floor, which has
         # no triangles, and passes under its wall
         fan = _link_fan(SPEC28, 60.0, -30.0, [300.0], 1)
-        scene = Scene([Building(0.0, 0.0, 500.0, 80.0)], extent=1000.0, seed=0)
+        scene = box_scene((0.0, 0.0, 500.0, 80.0))
         assert not los_blocked_fresnel(scene, fan.tx, fan.rx[0, 0], SPEC28)
         valid, blocked = _scene_verdicts(scene, fan)
         assert valid[0, 0] and not blocked[0, 0]
@@ -697,7 +721,7 @@ class TestCrossingPreTest:
         fan = _link_fan(SPEC28, h_tx, h_rx, [300.0], 1)
         roof = h_tx + (h_rx - h_tx) * edge / 300.0
         for height in (roof - 1e-9, roof, roof + 1e-9):
-            scene = Scene([Building(150.0, 0.0, 20.0, height)], extent=1000.0, seed=0)
+            scene = box_scene((150.0, 0.0, 20.0, height))
             self.flags(scene, fan, SPEC28)
 
     @pytest.mark.parametrize("seed", [3, 17])
