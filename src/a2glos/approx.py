@@ -30,20 +30,6 @@ from numpy.typing import ArrayLike
 
 from .environment import canonical_name
 
-__all__ = [
-    "ApproxParams",
-    "Mlp",
-    "STANDARD_PARAM_SETS",
-    "REFERENCE_NORM_RANGE",
-    "check_delta_h",
-    "mlp_forward",
-    "network_params",
-    "p_los_approx",
-    "reference_mlp",
-    "save_mlp",
-    "load_mlp",
-]
-
 
 @dataclass(frozen=True)
 class ApproxParams:

@@ -189,11 +189,6 @@ def cmd_fit(args) -> tuple[list[str], Files]:
     d_grid = _parse_grid(args.d) if args.d else None
     n_fit_points = len(d_grid) if d_grid is not None else len(default_d_grid())
     ds = build_dataset(env, spec, h_rx=args.hrx, delta_h_grid=delta_h_grid, d_grid=d_grid)
-    if not ds.records:
-        first = ds.rejected[0]
-        raise RuntimeError(
-            f"dataset generation failed: delta_h={first[0]} rejected ({first[1]})"
-        )
     train_ds, val_ds = split_dataset(ds, cfg.split_seed)
     tags = ("d1", "d2")
     models = dict(zip(tags, train(ds, tags, cfg=cfg)))

@@ -31,7 +31,7 @@ import numpy as np
 from .analytic import p_los, p_los_curve  # noqa: F401
 from .approx import Mlp, mlp_forward, network_params, p_los_approx
 from .environment import Environment
-from .geometry import FresnelSpec, wavelength_from_frequency
+from .geometry import FresnelSpec
 from .workers import worker_count  # noqa: F401
 
 #: Fraction of records used for training in the random split.
@@ -172,9 +172,10 @@ def fit_parametric_curve(d_grid: np.ndarray, curves: np.ndarray):
 
     The best D1 is exact for each D2 of _D2_SCAN; the best D2 is refined in
     its bracket, and kept only where no worse. Distances (finite, >= 0, at
-    least one > 0) come in any order, curve values are finite. Returns (d1,
-    d2, sse), sse summed from the residuals at (d1, d2): floats for one
-    curve, arrays (C,) for a stack. The scan streams _D2_CHUNK values of D2 over all curves, keeping
+    least two distinct ones > 0: one leaves the two parameters free) come in
+    any order, curve values are finite. Returns (d1, d2, sse), sse summed
+    from the residuals at (d1, d2): floats for one curve, arrays (C,) for a
+    stack. The scan streams _D2_CHUNK values of D2 over all curves, keeping
     each curve's first best (a later chunk wins by a strictly lower SSE); the
     refinement runs in blocks of _REFINE_ROWS curves. Both work in buffers
     allocated once a call: the memory peak stays bounded, the bits unchanged.
@@ -182,8 +183,8 @@ def fit_parametric_curve(d_grid: np.ndarray, curves: np.ndarray):
     d, stack = np.asarray(d_grid, dtype=float), np.asarray(curves, dtype=float)
     if d.ndim != 1 or stack.ndim not in (1, 2) or stack.shape[-1] != d.size:
         raise ValueError(f"curves of shape {stack.shape} do not match a grid of {d.size} distances")
-    if not (np.all((d >= 0.0) & (d < math.inf)) and np.any(d > 0.0)):
-        raise ValueError("distances must be finite and >= 0, and one > 0")
+    if not (np.all((d >= 0.0) & (d < math.inf)) and len(set(d[d > 0.0].tolist())) > 1):
+        raise ValueError("distances must be finite and >= 0, with two distinct ones > 0")
     if not np.all(np.isfinite(stack)):
         raise ValueError("curve values must be finite")
     order = np.argsort(d)[::-1]
@@ -235,7 +236,8 @@ def build_dataset(
     All curves are fitted in one call. Rejected with a diagnostic, giving no
     record: a curve identically 1 on the grid (no decay), a fitted D1 of 0 (a
     pure exponential), a D1 with under two grid distances beyond it (D2
-    then trades off freely) and a D2 in the last step of its scan.
+    then trades off freely) and a D2 in the last step of its scan. With
+    every height difference rejected, raises RuntimeError naming the first.
     """
     dhs = np.sort(np.asarray(
         default_delta_h_grid() if delta_h_grid is None else delta_h_grid,
@@ -272,6 +274,9 @@ def build_dataset(
             sses.append(res)
             continue
         rejected.append((delta_h, reason))
+    if not records:
+        delta_h, reason = rejected[0]
+        raise RuntimeError(f"dataset generation failed: delta_h={delta_h} rejected ({reason})")
     return FitDataset(
         records=tuple(records),
         env=env,
@@ -561,19 +566,13 @@ def rmse(mlp: Mlp, ds: FitDataset, target: str) -> float:
 
 def train_pair(
     env: Environment,
-    spec: FresnelSpec | None = None,
+    spec: FresnelSpec,
     h_rx: float = 1.5,
     delta_h_grid: Sequence[float] | None = None,
     d_grid: Sequence[float] | None = None,
     cfg: TrainConfig | None = None,
 ) -> tuple[Mlp, Mlp, FitDataset]:
-    """Build the default dataset and train the (D1, D2) network pair.
-
-    The default clearance spec is first-order at 28 GHz, matching the
-    simulation campaigns this model is compared against.
-    """
-    if spec is None:
-        spec = FresnelSpec(wavelength_from_frequency(28e9))
+    """Build the default dataset and train the (D1, D2) network pair."""
     ds = build_dataset(env, spec, h_rx=h_rx, delta_h_grid=delta_h_grid, d_grid=d_grid)
     mlp_d1, mlp_d2 = train(ds, ("d1", "d2"), cfg)
     return mlp_d1, mlp_d2, ds

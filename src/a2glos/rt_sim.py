@@ -13,9 +13,11 @@ the clearance test an affine map takes the ellipsoid to the unit sphere
 where triangle/sphere overlap reduces to a point-triangle distance. The
 per-link predicates cull buildings by a bounding-circle check only and
 test the mesh of every building left; they are the reference for the
-Monte-Carlo estimator, which culls harder, over every azimuth at once,
-settles sure blockages with a segment-box crossing, and triangulates only
-the buildings left for its batched exact test (see `estimate_p_los`).
+Monte-Carlo estimator, which culls harder, over every azimuth at once
+(see `estimate_p_los`). At zero wavelength its verdict is a segment-box
+slab test, with no triangles; with a clearance zone the slab test settles
+sure blockages, and only the buildings left are triangulated for its
+batched exact test.
 """
 
 from __future__ import annotations
@@ -491,35 +493,33 @@ def _fan_candidates(
 def _pairs_blocked(
     scene: Scene, fan: _LinkFan, link: np.ndarray, building: np.ndarray
 ) -> np.ndarray:
-    """Whether each building touches its link's clearance zone (or, at zero
-    wavelength, cuts its segment); ``link`` indexes the flattened fan."""
+    """Whether each building's triangles touch its link's clearance zone,
+    ``link`` indexing the flattened fan (a fan with a clearance zone)."""
     tris = _triangulate(scene.centers[building], scene.widths[building], scene.heights[building])
-    row_link = np.repeat(link, 10)
-    if fan.geometric:
-        axial = fan.frame.reshape(-1, 3, 3)[row_link, 1]
-        hit, s, _, _ = _mt_batch(fan.tx, axial, tris)
-        hit &= s < fan.length.reshape(-1)[row_link]
-    else:
-        center = 0.5 * (fan.tx + fan.rx.reshape(-1, 3)[link])
-        frame = fan.frame.reshape(-1, 3, 3)[link]
-        rel = tris.reshape(len(link), 30, 3) - center[:, None]
-        mapped = (rel @ frame.transpose(0, 2, 1)) / fan.semi_axes.reshape(-1, 3)[link][:, None]
-        mapped = mapped.reshape(-1, 3, 3)
-        hit = _point_triangle_dist_sq(mapped[:, 0], mapped[:, 1], mapped[:, 2]) <= 1.0
+    center = 0.5 * (fan.tx + fan.rx.reshape(-1, 3)[link])
+    frame = fan.frame.reshape(-1, 3, 3)[link]
+    rel = tris.reshape(len(link), 30, 3) - center[:, None]
+    mapped = (rel @ frame.transpose(0, 2, 1)) / fan.semi_axes.reshape(-1, 3)[link][:, None]
+    mapped = mapped.reshape(-1, 3, 3)
+    hit = _point_triangle_dist_sq(mapped[:, 0], mapped[:, 1], mapped[:, 2]) <= 1.0
     return hit.reshape(-1, 10).any(axis=1)
 
 
 def _segments_cross_boxes(
-    scene: Scene, fan: _LinkFan, link: np.ndarray, building: np.ndarray
+    scene: Scene, fan: _LinkFan, link: np.ndarray, building: np.ndarray, margin: float
 ) -> np.ndarray:
-    """Whether each link's TX-RX segment crosses its building's surface at a
-    segment parameter t in [_CROSS_MARGIN, 1 - _CROSS_MARGIN] (slab test).
+    """Whether each link's TX-RX segment crosses its building's closed box
+    surface at a segment parameter t in [margin, 1 - margin] (the slab test
+    of Kay & Kajiya, "Ray Tracing Complex Scenes", 1986).
 
-    With both terminals at or above ground that point lies on a wall or the
-    roof, and the clearance test maps it onto the axis at radius <= 1 - 2 *
-    _CROSS_MARGIN, so the exact test is sure to block the pair. A zero
-    direction component gives an infinite slab when the TX is strictly
-    inside it, an empty one outside, and NaN (no verdict) on its boundary.
+    With margin 0 this is the zero-wavelength verdict: the segment meets the
+    box (a receiver inside a footprint is not a valid link). With a positive
+    margin and both terminals at or above ground the point lies on a wall or
+    the roof, and the clearance test maps it onto the axis at radius <= 1 -
+    2 * margin, so the exact test is sure to block the pair. A zero direction
+    component gives an infinite slab when the TX is inside it and an empty
+    one outside; on its boundary one bound is 0/0, the slab's entry and
+    exit are NaN, and fmax and fmin skip them: the slab stays closed.
     """
     half = scene.widths[building, None] / 2.0
     lo = np.column_stack([scene.centers[building] - half, np.zeros(building.size)])
@@ -528,25 +528,30 @@ def _segments_cross_boxes(
     with np.errstate(divide="ignore", invalid="ignore"):
         t_lo = (lo - fan.tx) / direction
         t_hi = (hi - fan.tx) / direction
-    ends = np.stack([np.minimum(t_lo, t_hi).max(axis=1), np.maximum(t_lo, t_hi).min(axis=1)])
-    inner = (ends >= _CROSS_MARGIN) & (ends <= 1.0 - _CROSS_MARGIN)
+    ends = np.stack([np.fmax.reduce(np.minimum(t_lo, t_hi), axis=1),
+                     np.fmin.reduce(np.maximum(t_lo, t_hi), axis=1)])
+    inner = (ends >= margin) & (ends <= 1.0 - margin)
     return (ends[0] <= ends[1]) & inner.any(axis=0)
 
 
 def _scene_verdicts(scene: Scene, fan: _LinkFan) -> tuple[np.ndarray, np.ndarray]:
     """Valid receivers and blocked links of the whole fan, shape (K, R).
 
-    With a clearance zone and no terminal below ground, the pairs whose
-    segment crosses the building's surface well inside the link
-    (`_segments_cross_boxes`) block at once. The pairs left go through the
-    exact test in batches of at most ``_BATCH_PAIRS``, which bounds its
-    temporaries, and before each batch the pairs of links already blocked
-    are dropped.
+    At zero wavelength a link is blocked when its segment meets a box, which
+    the slab test settles exactly: no triangles. With a clearance zone and
+    no terminal below ground, the pairs whose segment crosses the box well
+    inside the link (`_segments_cross_boxes` at ``_CROSS_MARGIN``) block at
+    once. The pairs left go through the exact test in batches of at most
+    ``_BATCH_PAIRS``, which bounds its temporaries, and before each batch
+    the pairs of links already blocked are dropped.
     """
     valid, link, building = _fan_candidates(scene, fan)
     blocked = np.zeros(fan.length.size, dtype=bool)
-    if not fan.geometric and min(fan.tx[2], fan.rx[0, 0, 2]) >= 0.0:
-        blocked[link[_segments_cross_boxes(scene, fan, link, building)]] = True
+    if fan.geometric:
+        blocked[link[_segments_cross_boxes(scene, fan, link, building, 0.0)]] = True
+        return valid, blocked.reshape(fan.length.shape)
+    if min(fan.tx[2], fan.rx[0, 0, 2]) >= 0.0:
+        blocked[link[_segments_cross_boxes(scene, fan, link, building, _CROSS_MARGIN)]] = True
     while True:
         keep = ~blocked[link]
         link, building = link[keep], building[keep]
@@ -595,12 +600,16 @@ def estimate_p_los(
     center. Buildings are culled against the corridor of the longest ring,
     for all azimuths in a few array blocks, then per link by bounding
     circle and by roof height (a roof below the cylinder that encloses the
-    clearance zone cannot touch it). With a clearance zone, a surviving
-    (link, building) pair whose segment crosses the box well inside the
+    clearance zone cannot touch it). At zero wavelength a surviving (link,
+    building) pair blocks when the segment meets the box (slab test). With
+    a clearance zone, a pair whose segment crosses the box well inside the
     link blocks at once. The other pairs drop out once their link is
     blocked; only their buildings are triangulated, and they go through the
     exact test in array batches. The verdicts are those of
-    `los_blocked_fresnel` on each link.
+    `los_blocked_fresnel` on each link, except on a link tangent to a box
+    at zero wavelength: the slab test blocks a segment that meets a box
+    only on two vertical corner edges (along its diagonal) or only at the
+    TX, where Moller-Trumbore, the per-link test, can leave it clear.
 
     The default extent, 2*max(d) + 100 m, keeps every ring inside the
     city. Realizations run one after another in the calling thread.

@@ -504,6 +504,24 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "1e" in err or "1000000" in err
 
+    def test_one_positive_fit_distance_is_a_usage_error(self, tmp_path, capsys):
+        code = main(["fit", "--scenario", "urban", "--f-ghz", "28", "--d", "0,500",
+                     "--out-prefix", str(tmp_path / "net"), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "two distinct ones > 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_retrained_model_without_records_names_the_rejection(self, tmp_path, capsys):
+        # every default height difference is rejected in this area: compare
+        # fails as fit does, not on the empty training split
+        code = main(["compare", "--alpha", "0.02", "--beta", "4", "--gamma", "1", "--htx", "100",
+                     "--f-ghz", "28", "--d", "100:400:100", "--realizations", "1",
+                     "--links-per-ring", "4", "--models", "approx-retrained",
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert "dataset generation failed: delta_h=" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_unwritable_output_is_a_runtime_error(self, tmp_path, capsys):
         code = main(["analytic", "--scenario", "urban", "--htx", "70",
                      "--f-ghz", "6", "--d", "1,2",

@@ -93,10 +93,14 @@ class TestCurveFitInputs:
 
         monkeypatch.setattr(fit, "_profile", forbidden)
 
-    @pytest.mark.parametrize("d, curves", [([0.0], [0.5]), ([0.0, 0.0], [0.5, 0.7]), ([], [])])
+    @pytest.mark.parametrize("d, curves", [
+        ([0.0], [0.5]), ([0.0, 0.0], [0.5, 0.7]), ([], []),
+        ([5.0], [0.5]), ([0.0, 5.0], [1.0, 0.5]), ([5.0, 5.0], [0.5, 0.6]),
+    ])
     def test_grid_needs_a_positive_distance(self, d, curves):
-        # all u = 0 made D1 = 0/0; an empty grid failed inside the profile
-        with np.errstate(all="raise"), pytest.raises(ValueError, match="and one > 0"):
+        # all u = 0 made D1 = 0/0; an empty grid failed inside the profile; one
+        # distinct positive distance gave one of infinitely many exact fits
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="two distinct ones > 0"):
             fit_parametric_curve(d, curves)
 
     @pytest.mark.parametrize("curves", [[0.9, 0.8], [[0.9, 0.8], [0.7, 0.6]], [0.9, 0.8, 0.7, 0.6]])

@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cull_reference
 import dist_reference
@@ -17,6 +18,7 @@ from a2glos.geometry import (
     wavelength_from_frequency,
 )
 from a2glos.rt_sim import (
+    _CROSS_MARGIN,
     Scene,
     _candidate_triangles,
     _fan_candidates,
@@ -570,6 +572,16 @@ class TestBatchedVerdicts:
         assert np.array_equal(est.p_los, clear / n_valid)
         assert 0 < clear.sum() < n_valid.sum()  # both verdicts occur
 
+    def test_zero_wavelength_runs_no_triangle_test(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a triangle test ran at zero wavelength")
+
+        for name in ("_triangulate", "_mt_batch", "_pairs_blocked"):
+            monkeypatch.setattr(rt_sim, name, forbidden)
+        est = estimate_p_los(URBAN, FresnelSpec(0.0), 40.0, 2.0, self.D_GRID, self.REALIZATIONS,
+                             self.LINKS_PER_RING, seed=3)
+        assert 0.0 < est.p_los.min() < est.p_los.max() <= 1.0
+
     @pytest.mark.parametrize("offset", [0.0, 10.5])
     @pytest.mark.parametrize("h_tx, h_rx", [(60.0, 2.0), (2.0, 60.0)])
     def test_roofs_grazing_the_zone_on_a_sloping_link(self, h_tx, h_rx, offset):
@@ -630,7 +642,7 @@ class TestCrossingPreTest:
         n = len(scene)
         link = np.repeat(np.arange(fan.length.size), n)
         building = np.tile(np.arange(n), fan.length.size)
-        flag = _segments_cross_boxes(scene, fan, link, building).reshape(-1, n)
+        flag = _segments_cross_boxes(scene, fan, link, building, _CROSS_MARGIN).reshape(-1, n)
         rx = fan.rx.reshape(-1, 3)
         for i, b in zip(*np.nonzero(flag)):
             alone = box_scene(dataclasses.astuple(scene.buildings[b]), extent=scene.extent)
@@ -640,40 +652,45 @@ class TestCrossingPreTest:
             assert blocked[k, i] == los_blocked_fresnel(scene, fan.tx, fan.rx[k, i], spec)
         return flag
 
-    def test_links_along_the_axes(self):
+    @pytest.mark.parametrize("spec", [SPEC28, FresnelSpec(0.0)])
+    def test_links_along_the_axes(self, spec):
         # azimuth 0 has a zero y component; azimuth 90 a tiny x component
-        fan = _link_fan(SPEC28, 60.0, 2.0, [300.0], 4)
+        fan = _link_fan(spec, 60.0, 2.0, [300.0], 4)
         scene = box_scene(
             (150.0, 0.0, 20.0, 40.0),  # across the 0-degree track
-            (150.0, 10.0, 20.0, 40.0),  # wall in the plane of that track
+            (150.0, 10.0, 20.0, 40.0),  # wall in the plane of that track: it touches
             (150.0, 10.5, 20.0, 40.0),  # wall 0.5 m beside it
             (0.0, 150.0, 20.0, 40.0),  # across the 90-degree track
         )
-        flag = self.flags(scene, fan, SPEC28)
-        assert flag[0].tolist() == [True, False, False, False]
+        flag = self.flags(scene, fan, spec)
+        assert flag[0].tolist() == [True, True, False, False]
         assert flag[1].tolist() == [False, False, False, True]
 
-    def test_zero_direction_component_needs_the_tx_strictly_inside_the_slab(self):
+    def test_zero_direction_component_keeps_the_slab_closed(self):
         fan = _link_fan(SPEC28, 60.0, 2.0, [300.0], 4)
         rx = fan.rx.copy()
         rx[1, 0, 0] = 0.0  # the 90-degree link exactly along the y axis
         fan = dataclasses.replace(fan, rx=rx)
         scene = box_scene(
             (5.0, 150.0, 20.0, 40.0),  # TX strictly inside the x slab
-            (10.0, 150.0, 20.0, 40.0),  # TX on the slab's boundary
+            (10.0, 150.0, 20.0, 40.0),  # TX on the slab's boundary: the link runs along a wall
             (-10.5, 150.0, 20.0, 40.0),  # TX outside the slab
         )
         link = np.ones(3, dtype=np.intp)
-        flag = _segments_cross_boxes(scene, fan, link, np.arange(3))
-        assert flag.tolist() == [True, False, False]
-        for b in range(2):
+        flag = _segments_cross_boxes(scene, fan, link, np.arange(3), _CROSS_MARGIN)
+        assert flag.tolist() == [True, True, False]
+        geometric = dataclasses.replace(_link_fan(FresnelSpec(0.0), 60.0, 2.0, [300.0], 4), rx=rx)
+        for b, want in enumerate(flag.tolist()):
             alone = box_scene(dataclasses.astuple(scene.buildings[b]))
-            assert los_blocked_fresnel(alone, fan.tx, rx[1, 0], SPEC28)
+            assert los_blocked_fresnel(alone, fan.tx, rx[1, 0], SPEC28) or not want
+            assert los_blocked_geometric(alone, fan.tx, rx[1, 0]) == want
+            assert _scene_verdicts(alone, geometric)[1][1, 0] == want
 
     def test_diagonal_link_through_the_corners(self):
         # a 45-degree link through a building's vertical corner edges, below
-        # its roof: the segment crosses the box, but Moller-Trumbore misses
-        # both edges, so the zero-wavelength path must not use the pre-test
+        # its roof: the segment crosses the box, and the slab test blocks it
+        # at zero wavelength, where Moller-Trumbore misses both edges on
+        # some roofs
         fan = _link_fan(SPEC28, 302.0, 2.0, [300.0], 8)
         geometric = _link_fan(FresnelSpec(0.0), 302.0, 2.0, [300.0], 8)
         corner = 80.0 * fan.unit[1]
@@ -681,29 +698,33 @@ class TestCrossingPreTest:
         for roof in range(240, 260):  # 4 to 51 m above the segment
             scene = box_scene((corner[0], corner[1], 20.0, roof))
             assert self.flags(scene, fan, SPEC28)[1, 0]
-            expected = los_blocked_geometric(scene, geometric.tx, geometric.rx[1, 0])
             valid, blocked = _scene_verdicts(scene, geometric)
-            assert valid.all() and blocked[1, 0] == expected
-            misses.append(not expected)
+            assert valid.all() and blocked[1, 0]
+            misses.append(not los_blocked_geometric(scene, geometric.tx, geometric.rx[1, 0]))
         assert any(misses)
 
+    @pytest.mark.parametrize("spec", [SPEC28, FresnelSpec(0.0)])
+    @pytest.mark.parametrize("h_rx", [2.0, 0.0])
     @pytest.mark.parametrize("gap", [0.0, 1e-6])
-    def test_receiver_flush_against_a_wall(self, gap):
-        fan = _link_fan(SPEC28, 60.0, 2.0, [300.0], 1)
+    def test_receiver_flush_against_a_wall(self, gap, h_rx, spec):
+        # the zone reaches the wall; the segment stops at it or short of it
+        fan = _link_fan(spec, 60.0, h_rx, [300.0], 1)
         scene = box_scene((310.0 + gap, 0.0, 20.0, 40.0))
-        assert not self.flags(scene, fan, SPEC28).any()  # the crossing is at t = 1
+        assert not self.flags(scene, fan, spec).any()  # the crossing is at t = 1
         assert los_blocked_fresnel(scene, fan.tx, fan.rx[0, 0], SPEC28)
         valid, blocked = _scene_verdicts(scene, fan)
-        assert valid[0, 0] == (gap > 0.0) and blocked[0, 0] == valid[0, 0]
+        assert valid[0, 0] == (gap > 0.0)
+        assert blocked[0, 0] == (valid[0, 0] and spec.wavelength > 0.0)
 
-    def test_tx_inside_overlapping_uniform_buildings(self):
-        fan = _link_fan(SPEC28, 60.0, 2.0, [100.0, 300.0], 8)
+    @pytest.mark.parametrize("spec", [SPEC28, FresnelSpec(0.0)])
+    def test_tx_inside_overlapping_uniform_buildings(self, spec):
+        fan = _link_fan(spec, 60.0, 2.0, [100.0, 300.0], 8)
         scene = box_scene(
             (0.0, 0.0, 20.0, 80.0),  # holds the TX
             (8.0, 3.0, 20.0, 70.0),  # overlaps it, and holds the TX too
             (-9.9995, 0.0, 20.0, 80.0),  # its wall 0.5 mm from the TX
         )
-        flag = self.flags(scene, fan, SPEC28)
+        flag = self.flags(scene, fan, spec)
         assert flag[:, :2].all()  # every link leaves through their walls
         assert not flag[0, 2] and not flag[1, 2]  # too near the TX on the 0-degree links
 
@@ -716,13 +737,18 @@ class TestCrossingPreTest:
         valid, blocked = _scene_verdicts(scene, fan)
         assert valid[0, 0] and not blocked[0, 0]
 
-    @pytest.mark.parametrize("h_tx, h_rx, edge", [(2.0, 60.0, 140.0), (60.0, 2.0, 160.0)])
-    def test_link_grazing_a_roof_edge(self, h_tx, h_rx, edge):
-        fan = _link_fan(SPEC28, h_tx, h_rx, [300.0], 1)
+    @pytest.mark.parametrize("h_tx, h_rx, edge, spec", [
+        (2.0, 60.0, 140.0, SPEC28),
+        (60.0, 2.0, 160.0, SPEC28),
+        (30.0, 30.0, 150.0, SPEC28),  # level: the link lies in the roof's plane
+        (30.0, 30.0, 150.0, FresnelSpec(0.0)),
+    ])
+    def test_link_grazing_a_roof_edge(self, h_tx, h_rx, edge, spec):
+        fan = _link_fan(spec, h_tx, h_rx, [300.0], 1)
         roof = h_tx + (h_rx - h_tx) * edge / 300.0
         for height in (roof - 1e-9, roof, roof + 1e-9):
             scene = box_scene((150.0, 0.0, 20.0, height))
-            self.flags(scene, fan, SPEC28)
+            self.flags(scene, fan, spec)
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_thinnest_zone_at_order_three(self, seed):
@@ -732,7 +758,7 @@ class TestCrossingPreTest:
         scene = realization_scene(get_scenario("dense-urban").env, default_extent(d_grid),
                                   seed, 0)
         valid, link, building = _fan_candidates(scene, fan)
-        flag = _segments_cross_boxes(scene, fan, link, building)
+        flag = _segments_cross_boxes(scene, fan, link, building, _CROSS_MARGIN)
         assert flag.any() and _pairs_blocked(scene, fan, link[flag], building[flag]).all()
         valid, blocked = _scene_verdicts(scene, fan)
         for k, i in zip(*np.nonzero(valid)):
@@ -751,8 +777,70 @@ class TestCrossingPreTest:
             scene = realization_scene(get_scenario(scenario).env, default_extent(d_grid), seed,
                                       r, layout=layout)
             _, link, building = _fan_candidates(scene, fan)
-            flag = _segments_cross_boxes(scene, fan, link, building)
+            flag = _segments_cross_boxes(scene, fan, link, building, _CROSS_MARGIN)
             assert _pairs_blocked(scene, fan, link[flag], building[flag]).all()
+
+
+@st.composite
+def fan_scenes(draw):
+    """A few boxes around the TX and a small fan of links over them."""
+    coord = st.floats(-120.0, 120.0)
+    boxes = draw(st.lists(st.tuples(coord, coord, st.floats(1.0, 50.0), st.floats(1.0, 90.0)),
+                          min_size=1, max_size=4))
+    h_tx = draw(st.floats(1.0, 100.0))
+    h_rx = draw(st.floats(0.0, h_tx))
+    distances = draw(st.lists(st.floats(5.0, 150.0), min_size=1, max_size=3, unique=True))
+    return boxes, h_tx, h_rx, distances, draw(st.sampled_from([1, 2, 4, 8]))
+
+
+def flips_within_a_nanometre(boxes, tx, rx, spec):
+    """Whether the per-link verdict changes when every box grows, or shrinks,
+    by 1 nm: the link is tangent to a box, and rounding decides its verdict."""
+    grown, shrunk = (box_scene(*[(x, y, w + 2.0 * d, h + d) for x, y, w, h in boxes])
+                     for d in (1e-9, -1e-9))
+    return los_blocked_fresnel(grown, tx, rx, spec) and not los_blocked_fresnel(shrunk, tx, rx, spec)
+
+
+class TestVerdictProperties:
+    """`_scene_verdicts` against the per-link test on random scenes: 1, 2, 4
+    and 8 azimuths give axis-aligned and diagonal links. At zero wavelength
+    `los_blocked_fresnel` is `los_blocked_geometric`. The two may differ only
+    on a link tangent to a box, as the corner-edge link
+    (`TestCrossingPreTest::test_diagonal_link_through_the_corners`)."""
+
+    @pytest.mark.parametrize(
+        "spec", [SPEC28, FresnelSpec(wavelength_from_frequency(3000e9)), FresnelSpec(0.0)]
+    )
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(case=fan_scenes())
+    def test_every_valid_link_matches_the_per_link_test(self, spec, case):
+        boxes, h_tx, h_rx, distances, azimuths = case
+        scene = box_scene(*boxes)
+        fan = _link_fan(spec, h_tx, h_rx, distances, azimuths)
+        valid, blocked = _scene_verdicts(scene, fan)
+        half_w = scene.widths / 2.0
+        for k, i in np.ndindex(valid.shape):
+            rx = fan.rx[k, i]
+            inside = np.any((np.abs(rx[0] - scene.centers[:, 0]) <= half_w)
+                            & (np.abs(rx[1] - scene.centers[:, 1]) <= half_w))
+            assert valid[k, i] == (not inside)
+            if not inside and blocked[k, i] != los_blocked_fresnel(scene, fan.tx, rx, spec):
+                assert flips_within_a_nanometre(boxes, fan.tx, rx, spec), (k, i)
+
+    @pytest.mark.parametrize("box, h_tx, h_rx, want", [
+        # TX over the roof by one ulp: the segment clears the roof edge by
+        # 1.2e-15 m, and Moller-Trumbore's rounding blocks it
+        ((0.0, 0.0, 3.0, 9.012973308603124), 9.012973308603126, 9.012973308603124, False),
+        # TX on the top edge of a wall: the segment touches the box at t = 0,
+        # which Moller-Trumbore (s > 0) leaves open, and every zone touches
+        ((-0.5, 0.0, 1.0, 1.0), 1.0, 0.0, True),
+    ])
+    def test_tangent_links_get_the_slab_verdict(self, box, h_tx, h_rx, want):
+        fan = _link_fan(FresnelSpec(0.0), h_tx, h_rx, [5.0], 1)
+        valid, blocked = _scene_verdicts(box_scene(box), fan)
+        assert valid[0, 0] and blocked[0, 0] == want
+        assert los_blocked_fresnel(box_scene(box), fan.tx, fan.rx[0, 0], SPEC28) or not want
+        assert flips_within_a_nanometre([box], fan.tx, fan.rx[0, 0], FresnelSpec(0.0))
 
 
 class TestSubseed:
