@@ -9,6 +9,8 @@ Three mutually validating prediction paths:
   scenes.
 """
 
+from types import ModuleType as _ModuleType
+
 from .geometry import (
     SPEED_OF_LIGHT,
     FresnelSpec,
@@ -59,7 +61,6 @@ from .rt_sim import (
     Building,
     PLosEstimate,
     Scene,
-    dump_scene_csv,
     estimate_p_los,
     los_blocked_fresnel,
     los_blocked_geometric,
@@ -68,50 +69,8 @@ from .rt_sim import (
 
 __version__ = "0.1.0"
 
+# Every public name the imports above bind, in import order; submodules are not exported.
 __all__ = [
-    "SPEED_OF_LIGHT",
-    "FresnelSpec",
-    "LinkGeometry",
-    "allowed_height",
-    "fresnel_axes",
-    "fresnel_radius_at",
-    "wavelength_from_frequency",
-    "Environment",
-    "ScenarioPreset",
-    "building_count",
-    "building_position",
-    "get_scenario",
-    "height_cdf",
-    "load_scenarios",
-    "mean_width",
-    "max_comm_distance",
-    "p_los",
-    "p_los_baseline",
-    "p_los_curve",
-    "p_los_vs_elevation",
-    "ApproxParams",
-    "Mlp",
-    "STANDARD_PARAM_SETS",
-    "load_mlp",
-    "mlp_forward",
-    "p_los_approx",
-    "save_mlp",
-    "FitDataset",
-    "FitRecord",
-    "TrainConfig",
-    "build_dataset",
-    "load_dataset",
-    "rmse",
-    "split_dataset",
-    "train",
-    "train_pair",
-    "Building",
-    "PLosEstimate",
-    "Scene",
-    "dump_scene_csv",
-    "estimate_p_los",
-    "los_blocked_fresnel",
-    "los_blocked_geometric",
-    "synthesize_scene",
-    "__version__",
-]
+    name for name, value in dict(globals()).items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

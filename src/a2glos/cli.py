@@ -50,7 +50,6 @@ from .fit import (
 from .geometry import FresnelSpec, wavelength_from_frequency
 from .rt_sim import (
     default_extent,
-    dump_scene_csv,
     estimate_p_los,
     realization_scene,
     scene_csv_lines,
@@ -76,9 +75,10 @@ def _parse_grid(text: str) -> list[float]:
             raise ValueError(f"bad grid bounds {text!r}: need finite start <= stop and step > 0")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [start + k * step for k in range(count)]
-    if "," in text:
-        return [float(p) for p in text.split(",") if p]
-    return [float(text)]
+    grid = [float(p) for p in text.split(",") if p]
+    if not grid:
+        raise ValueError(f"grid {text!r} has no value")
+    return grid
 
 
 def _resolve_env(args) -> tuple[Environment, str]:
@@ -91,12 +91,12 @@ def _resolve_env(args) -> tuple[Environment, str]:
 
 
 def _resolve_spec(args) -> tuple[FresnelSpec, str]:
-    if getattr(args, "f_inf", False):
-        return FresnelSpec(0.0, order=getattr(args, "order", 1)), "inf"
+    if args.f_inf:
+        return FresnelSpec(0.0, order=args.order), "inf"
     if args.f_ghz is None:
         raise ValueError("give --f-ghz or --f-inf")
     lam = wavelength_from_frequency(args.f_ghz * 1e9)
-    return FresnelSpec(lam, order=getattr(args, "order", 1)), f"{args.f_ghz:g}"
+    return FresnelSpec(lam, order=args.order), f"{args.f_ghz:g}"
 
 
 def _fmt(x: float) -> str:
@@ -185,9 +185,8 @@ def cmd_fit(args) -> tuple[list[str], Files]:
         eta=args.eta,
         split_seed=args.seed,
     )
-    delta_h_grid = _parse_grid(args.delta_h) if args.delta_h else None
-    d_grid = _parse_grid(args.d) if args.d else None
-    n_fit_points = len(d_grid) if d_grid is not None else len(default_d_grid())
+    delta_h_grid = None if args.delta_h is None else _parse_grid(args.delta_h)
+    d_grid = default_d_grid() if args.d is None else _parse_grid(args.d)
     ds = build_dataset(env, spec, h_rx=args.hrx, delta_h_grid=delta_h_grid, d_grid=d_grid)
     train_ds, val_ds = split_dataset(ds, cfg.split_seed)
     tags = ("d1", "d2")
@@ -211,7 +210,7 @@ def cmd_fit(args) -> tuple[list[str], Files]:
     ]
     notes.append(f"# approx_vs_analytic mse={_fmt(mse)} max_abs_err={_fmt(max_err)}")
     for record, sse in zip(ds.records, ds.fit_sse):
-        notes.append(f"# residual delta_h={_fmt(record.delta_h)} fit_mse={_fmt(sse / n_fit_points)}")
+        notes.append(f"# residual delta_h={_fmt(record.delta_h)} fit_mse={_fmt(sse / len(d_grid))}")
     for dh, reason in ds.rejected:
         notes.append(f"# rejected delta_h={_fmt(dh)}: {reason}")
     # the dataset format, so the report itself reads back as a dataset
@@ -274,7 +273,8 @@ def cmd_simulate(args) -> tuple[list[str], Files]:
         scene = realization_scene(
             env, args.extent or default_extent(d_grid), args.seed, 0, layout=args.layout
         )
-        files.append((Path(args.dump_scene), lambda fh: dump_scene_csv(scene, fh)))
+        text = "\n".join(scene_csv_lines(scene)) + "\n"
+        files.append((Path(args.dump_scene), lambda fh: fh.write(text)))
     return lines, files
 
 
@@ -391,11 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hrx", type=float, default=1.5)
     p.add_argument("--delta-h", help="height-difference grid [m] (default 28.5:998.5:10)")
     p.add_argument("--d", help="distance grid for curve fitting [m]")
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--hidden", type=int, default=4)
-    p.add_argument("--lr", type=float, default=0.2)
-    p.add_argument("--epochs", type=int, default=30000)
-    p.add_argument("--eta", type=float, default=0.0)
+    train_defaults = TrainConfig()
+    p.add_argument("--seed", type=int, default=train_defaults.split_seed)
+    p.add_argument("--hidden", type=int, default=train_defaults.hidden_neurons)
+    p.add_argument("--lr", type=float, default=train_defaults.learning_rate)
+    p.add_argument("--epochs", type=int, default=train_defaults.epochs)
+    p.add_argument("--eta", type=float, default=train_defaults.eta)
     p.add_argument("--out-prefix", required=True, help="model files written as PREFIX.d1.txt / PREFIX.d2.txt")
     p.add_argument("--out", help="report CSV path (default stdout)")
     p.set_defaults(func=cmd_fit)

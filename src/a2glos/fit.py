@@ -565,16 +565,11 @@ def rmse(mlp: Mlp, ds: FitDataset, target: str) -> float:
 
 
 def train_pair(
-    env: Environment,
-    spec: FresnelSpec,
-    h_rx: float = 1.5,
-    delta_h_grid: Sequence[float] | None = None,
-    d_grid: Sequence[float] | None = None,
-    cfg: TrainConfig | None = None,
+    env: Environment, spec: FresnelSpec, h_rx: float = 1.5
 ) -> tuple[Mlp, Mlp, FitDataset]:
     """Build the default dataset and train the (D1, D2) network pair."""
-    ds = build_dataset(env, spec, h_rx=h_rx, delta_h_grid=delta_h_grid, d_grid=d_grid)
-    mlp_d1, mlp_d2 = train(ds, ("d1", "d2"), cfg)
+    ds = build_dataset(env, spec, h_rx=h_rx)
+    mlp_d1, mlp_d2 = train(ds, ("d1", "d2"))
     return mlp_d1, mlp_d2, ds
 
 

@@ -25,8 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -198,15 +197,6 @@ def scene_csv_lines(scene: Scene) -> list[str]:
     rows = zip(*(map(repr, c.tolist()) for c in columns))
     header = [f"# extent={scene.extent!r} seed={scene.seed}", "center_x,center_y,width,height"]
     return header + [",".join(row) for row in rows]
-
-
-def dump_scene_csv(scene: Scene, path: str | Path | IO[str]) -> None:
-    """Write `scene_csv_lines` to a path or an open text file."""
-    text = "\n".join(scene_csv_lines(scene)) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        Path(path).write_text(text)
 
 
 # --- ray/triangle intersection -------------------------------------------

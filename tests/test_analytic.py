@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from a2glos import analytic
 from a2glos.analytic import (
@@ -321,6 +322,32 @@ class TestCurveKernel:
         # 5 m crosses no urban building, so only the validation can object
         with pytest.raises(ValueError):
             p_los_curve(h_tx, h_rx, [d], URBAN, FresnelSpec(LAMBDA_28GHZ), width)
+
+
+@st.composite
+def curve_cases(draw):
+    """A random area, carrier, zone order, link heights (h_rx = 0 and
+    h_tx = h_rx included), width override and a few distances > 0."""
+    env = Environment(
+        draw(st.floats(0.01, 1.0)), draw(st.floats(1.0, 1000.0)), draw(st.floats(0.5, 100.0))
+    )
+    lam = draw(st.sampled_from([0.0, wavelength_from_frequency(2.4e9), LAMBDA_28GHZ,
+                                wavelength_from_frequency(3e12)]))
+    spec = FresnelSpec(lam, order=draw(st.integers(1, 3)))
+    h_rx = draw(st.just(0.0) | st.floats(0.0, 50.0))
+    h_tx = h_rx + draw(st.just(0.0) | st.floats(0.0, 1000.0)) or 1.0  # a TX at 0 m is no link
+    width = draw(st.none() | st.just(0.0) | st.floats(0.0, 100.0))
+    d = draw(st.lists(st.floats(0.0, 20_000.0, exclude_min=True), min_size=1, max_size=16))
+    return h_tx, h_rx, d, env, spec, width
+
+
+class TestCurveProperty:
+    @settings(derandomize=True, database=None, max_examples=250, deadline=None)
+    @given(case=curve_cases())
+    def test_equals_the_scalar_p_los(self, case):
+        h_tx, h_rx, d, env, spec, width = case
+        got = p_los_curve(h_tx, h_rx, d, env, spec, width).tolist()
+        assert got == [p_los(LinkGeometry(h_tx, h_rx, x), env, spec, width) for x in d]
 
 
 class TestMaxCommDistanceOracle:

@@ -1,4 +1,3 @@
-import io
 import os
 import stat
 
@@ -8,9 +7,9 @@ from a2glos.analytic import p_los, p_los_baseline
 from a2glos.approx import ApproxParams, p_los_approx, reference_mlp
 from a2glos.cli import _parse_grid, build_parser, main
 from a2glos.environment import Environment
-from a2glos.fit import build_dataset, load_dataset
+from a2glos.fit import TrainConfig, build_dataset, load_dataset
 from a2glos.geometry import FresnelSpec, LinkGeometry, wavelength_from_frequency
-from a2glos.rt_sim import _subseed, dump_scene_csv, realization_scene
+from a2glos.rt_sim import _subseed, realization_scene, scene_csv_lines
 
 URBAN = Environment(0.3, 500.0, 15.0)
 
@@ -29,6 +28,14 @@ def test_parser_is_built_once_per_process():
     assert build_parser() is build_parser()
 
 
+def test_fit_defaults_are_the_train_config_defaults():
+    args = build_parser().parse_args(
+        ["fit", "--scenario", "urban", "--f-ghz", "28", "--out-prefix", "m"])
+    cfg = TrainConfig(hidden_neurons=args.hidden, learning_rate=args.lr, epochs=args.epochs,
+                      eta=args.eta, split_seed=args.seed)
+    assert cfg == TrainConfig()
+
+
 class TestGridSyntax:
     def test_inclusive_range(self):
         grid = _parse_grid("0:1000:1")
@@ -41,7 +48,7 @@ class TestGridSyntax:
 
     def test_bad_grids(self):
         for bad in ("1:2", "5:1:1", "1:10:0", "0:inf:1", "-inf:0:1", "0:10:inf", "nan:10:1",
-                    "0:nan:1", "0:10:nan"):
+                    "0:nan:1", "0:10:nan", ",", ",,"):
             with pytest.raises(ValueError):
                 _parse_grid(bad)
 
@@ -146,9 +153,11 @@ class TestAnalyticCommand:
             ["--htx", "30", "--hrx", "nan", "--d", "5", "--mcd", "0.5"],
             ["--htx", "inf", "--d", "5"],
             ["--htx", "30", "--d", "inf"],
+            ["--htx", "100", "--d", ","],
+            ["--htx", "100", "--elevation", ","],
         ],
         ids=["tx-below-rx-at-zero", "negative-width", "nan-rx-with-mcd", "infinite-tx",
-             "infinite-distance"],
+             "infinite-distance", "empty-distance-grid", "empty-elevation-grid"],
     )
     def test_degenerate_inputs_are_usage_errors(self, tmp_path, extra):
         # none of these distances crosses a building, so no product is formed
@@ -204,9 +213,8 @@ class TestSimulateCommand:
         header = [l for l in scene_lines if l.startswith("# extent=")][0]
         assert header.endswith(f" seed={_subseed(1, 0)}")  # realization 0's scene
         assert n_rows > 0
-        expected = io.StringIO()
-        dump_scene_csv(realization_scene(URBAN, 500.0, 1, 0), expected)
-        assert dump.read_text() == expected.getvalue()
+        expected = "\n".join(scene_csv_lines(realization_scene(URBAN, 500.0, 1, 0))) + "\n"
+        assert dump.read_text() == expected
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_failed_output_leaves_no_scene_dump(self, tmp_path):
@@ -487,6 +495,15 @@ class TestFitCommand:
                      "--out-prefix", str(tmp_path / "u"), "--out", str(out)] + extra)
         assert code == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("option", ["--d", "--delta-h"])
+    @pytest.mark.parametrize("grid", ["", ","])
+    def test_empty_grid_is_a_usage_error(self, tmp_path, capsys, option, grid):
+        code = main(["fit", "--scenario", "urban", "--f-ghz", "28", option, grid,
+                     "--out-prefix", str(tmp_path / "net"), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "has no value" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_non_positive_height_difference_is_a_usage_error(self, tmp_path, capsys):
         code, out = run_cli(["fit", "--scenario", "urban", "--f-ghz", "28", "--delta-h", "0:90:10",
