@@ -10,7 +10,10 @@ clearance limit of the link. Two variants are provided:
   first-order (or order-n) Fresnel clearance requirement, which brings the
   carrier frequency into the model.
 
-Every sweep evaluates :func:`p_los` through its array form :func:`p_los_curve`.
+:func:`p_los_curve` is the one kernel of the width-aware product, over
+arrays of links; :func:`p_los` is that kernel at one point. The per-link
+product it replaced is kept as the test oracle in
+``tests/analytic_reference.py``.
 
 A clearance limit of zero or below means the building blocks the link with
 certainty, so that factor is zero. The width-aware building positions can
@@ -37,26 +40,6 @@ _CURVE_BLOCK = 4096
 
 #: Distances per p_los_curve call in the 1 m scan of max_comm_distance.
 _MCD_CHUNK = 128
-
-
-def _clearance_limits(
-    link: LinkGeometry, spec: FresnelSpec, n_buildings: int, width: float
-) -> np.ndarray:
-    """Clearance limit (allowed building height) at each building position.
-
-    Vectorised form of the allowed-height formula evaluated at the
-    width-shifted building positions; entries may be negative.
-    """
-    d = link.d_rx
-    dh = link.delta_h
-    idx = np.arange(1, n_buildings + 1, dtype=float)
-    d_i = (idx - 0.5) * d / n_buildings + width / 2.0
-    ray_height = link.h_tx - d_i * dh / d
-    reach = np.maximum(np.minimum(d_i, d - d_i), 0.0)
-    fresnel_drop = (
-        math.sqrt(spec.order * spec.wavelength * d) * reach / math.hypot(d, dh)
-    )
-    return ray_height - fresnel_drop
 
 
 def p_los_baseline(link: LinkGeometry, env: Environment) -> float:
@@ -93,30 +76,22 @@ def p_los(
     Returns:
         Probability in [0, 1]; exactly 1.0 when no building is expected.
     """
-    n = building_count(env, link.d_rx)
-    if n == 0:
-        return 1.0
-    w = mean_width(env) if width is None else float(width)
-    if w < 0.0:
-        raise ValueError(f"width must be >= 0, got {width}")
-    limits = _clearance_limits(link, spec, n, w)
-    limits = np.maximum(limits, 0.0)  # non-positive allowance blocks for sure
-    factors = 1.0 - np.exp(-(limits**2) / (2.0 * env.gamma**2))
-    return float(np.prod(factors))
+    return float(p_los_curve(link.h_tx, link.h_rx, link.d_rx, env, spec, width))
 
 
 def p_los_curve(
     h_tx: ArrayLike, h_rx: ArrayLike, d: ArrayLike, env: Environment, spec: FresnelSpec,
     width: float | None = None,
 ) -> np.ndarray:
-    """:func:`p_los` over arrays of heights and distances, broadcast together.
+    """Width-aware LoS probability over arrays of heights and distances, broadcast together.
 
     A masked rows x n_max product: slots past a row's own building count are
     factors of 1, and rows with no building expected (d == 0 too) are 1.0.
-    Each row's clearance scale uses math.hypot, as p_los does, so every value
-    equals the scalar one bit for bit. Raises ValueError for non-finite
-    heights, distances or width, h_rx < 0, h_tx < h_rx, h_tx <= 0, d < 0 or
-    width < 0, whether or not any building is expected.
+    Each row's clearance scale uses math.hypot, as the per-link product it
+    replaced did, so every value equals that product's bit for bit. Raises
+    ValueError for non-finite heights, distances or width, h_rx < 0,
+    h_tx < h_rx, h_tx <= 0, d < 0 or width < 0, whether or not any building
+    is expected.
     """
     h_tx, h_rx, d = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (h_tx, h_rx, d)))
     if not (np.isfinite(h_tx).all() and np.isfinite(h_rx).all() and (h_rx >= 0.0).all()):
@@ -130,7 +105,7 @@ def p_los_curve(
         raise ValueError(f"width must be finite and >= 0, got {width}")
     out = np.ones(d.shape)
     flat, d, h_tx, h_rx = out.reshape(-1), d.reshape(-1), h_tx.reshape(-1), h_rx.reshape(-1)
-    n = np.floor(d * math.sqrt(env.alpha * env.beta) / 1000.0)
+    n = building_count(env, d)
     rows = np.flatnonzero(n)
     idx = np.arange(1.0, n.max(initial=0.0) + 1.0)
     per_block = max(1, _CURVE_BLOCK // max(idx.size, 1))

@@ -138,8 +138,8 @@ _TAGS = ("iw", "ib", "ow", "ob", "inorm", "onorm")
 _ARITY = {"ob": 1, "inorm": 2, "onorm": 2}  # values per tag of fixed length
 
 
-def save_mlp(mlp: Mlp, path: str | Path | IO[str]) -> None:
-    """Write a network as one `tag v1 v2 ...` line per tensor."""
+def save_mlp(mlp: Mlp, stream: IO[str]) -> None:
+    """Write a network to a text stream as one `tag v1 v2 ...` line per tensor."""
 
     def fmt(values: Iterable[float]) -> str:
         return " ".join(f"{v:.17g}" for v in values)
@@ -152,11 +152,7 @@ def save_mlp(mlp: Mlp, path: str | Path | IO[str]) -> None:
         f"inorm {fmt(mlp.input_norm)}",
         f"onorm {fmt(mlp.output_norm)}",
     ]
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        Path(path).write_text(text)
+    stream.write("\n".join(lines) + "\n")
 
 
 def load_mlp(path: str | Path | IO[str]) -> Mlp:

@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 
 @dataclass(frozen=True)
 class Environment:
@@ -50,11 +53,15 @@ def height_cdf(gamma: float, h: float) -> float:
     return 1.0 - math.exp(-h * h / (2.0 * gamma * gamma))
 
 
-def building_count(env: Environment, d_rx: float) -> int:
-    """Expected number of buildings crossed by a path of length d_rx [m]."""
-    if d_rx < 0.0:
-        raise ValueError(f"d_rx must be >= 0, got {d_rx}")
-    return int(math.floor(d_rx * math.sqrt(env.alpha * env.beta) / 1000.0))
+def building_count(env: Environment, d_rx: ArrayLike) -> int | np.ndarray:
+    """Expected number of buildings crossed by a path of length d_rx [m]:
+    an int for a scalar, else a float array of whole counts of its shape."""
+    d = np.asarray(d_rx, dtype=float)
+    negative = d[d < 0.0]
+    if negative.size:
+        raise ValueError(f"d_rx must be >= 0, got {negative[0]}")
+    n = np.floor(d * math.sqrt(env.alpha * env.beta) / 1000.0)
+    return int(n) if n.ndim == 0 else n
 
 
 def mean_width(env: Environment) -> float:

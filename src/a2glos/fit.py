@@ -322,10 +322,13 @@ def load_dataset(path) -> FitDataset:
     for key in ("alpha", "beta", "gamma", "lambda"):
         if key not in meta:
             raise ValueError(f"dataset file lacks {key}= in its comment header")
+    order = float(meta.get("order", 1))
+    if not order.is_integer():
+        raise ValueError(f"dataset order must be a whole number, got {meta['order']}")
     return FitDataset(
         records=tuple(records),
         env=Environment(float(meta["alpha"]), float(meta["beta"]), float(meta["gamma"])),
-        spec=FresnelSpec(float(meta["lambda"]), order=int(float(meta.get("order", 1)))),
+        spec=FresnelSpec(float(meta["lambda"]), order=int(order)),
         h_rx=float(meta.get("h_rx", 1.5)),
     )
 

@@ -5,7 +5,7 @@ box buildings on a regular street grid (heights drawn from the Rayleigh
 law, footprint and spacing fixed by the area parameters), and held as the
 read-only arrays of a `Scene`. Each building contributes 10 triangles (4
 walls of 2, 2 for the roof; no floor). A link is line-of-sight when no
-triangle touches its first-order Fresnel ellipsoid; with a zero
+triangle touches its Fresnel ellipsoid of order ``spec.order``; with a zero
 wavelength the test degenerates to segment blockage.
 
 Blockage tests are exact: Moller-Trumbore for ray/triangle hits, and for
@@ -149,8 +149,8 @@ def synthesize_scene(
     "uniform" layout instead scatters round(beta * area_km2) buildings
     uniformly (overlaps allowed); it exists for sensitivity checks.
     """
-    if not extent > 0.0:
-        raise ValueError(f"extent must be > 0, got {extent}")
+    if not 0.0 < extent < math.inf:
+        raise ValueError(f"extent must be finite and > 0, got {extent}")
     pitch = 1000.0 / math.sqrt(env.beta)
     width = mean_width(env)
     if width >= pitch:
@@ -583,8 +583,8 @@ def estimate_p_los(
     every distance, receivers sit uniformly spaced on the circle of that
     radius at ``h_rx``; receivers falling inside a building footprint are
     not valid user positions and are excluded from the tally. A link
-    counts as LoS when its first-order clearance zone is free of scene
-    triangles.
+    counts as LoS when its clearance zone, of order ``spec.order``, is
+    free of scene triangles.
 
     The receivers of one azimuth share a ground corridor from the scene
     center. Buildings are culled against the corridor of the longest ring,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import analytic_reference as reference
 from a2glos import analytic
 from a2glos.analytic import (
     max_comm_distance,
@@ -127,10 +128,11 @@ class TestPLos:
         p = p_los(link, Environment(0.5, 300.0, 50.0), FresnelSpec(0.3))
         assert p == 0.0
 
-    def test_width_override_validation(self):
-        link = LinkGeometry(70.0, 1.5, 500.0)
-        with pytest.raises(ValueError):
-            p_los(link, URBAN, FresnelSpec(0.05), width=-1.0)
+    @pytest.mark.parametrize("d", [500.0, 10.0])  # 10 m crosses no urban building
+    @pytest.mark.parametrize("width", [-1.0, math.nan, math.inf])
+    def test_width_override_validation(self, d, width):
+        with pytest.raises(ValueError, match="width"):
+            p_los(LinkGeometry(70.0, 1.5, d), URBAN, FresnelSpec(LAMBDA_28GHZ), width=width)
 
 
 class TestMonotonicity:
@@ -230,18 +232,17 @@ class TestElevationSweep:
 
 
 def scalar_curve(h_tx, h_rx, distances, env, spec, width=None):
-    """The scalar p_los at each distance; 1 where no building is expected."""
+    """The reference per-link product at each distance; 1 at d = 0."""
     return np.array([
-        p_los(LinkGeometry(h_tx, h_rx, d), env, spec, width=width)
-        if building_count(env, d) > 0 else 1.0
+        reference.p_los(LinkGeometry(h_tx, h_rx, d), env, spec, width=width) if d > 0.0 else 1.0
         for d in distances
     ])
 
 
 def scalar_mcd(h_tx, h_rx, env, spec, threshold, max_distance=20_000.0):
-    """1 m scan with the scalar p_los, then bisection down to 0.1 m."""
+    """1 m scan with the reference per-link product, then bisection down to 0.1 m."""
     def p_at(d):
-        return p_los(LinkGeometry(h_tx, h_rx, d), env, spec)
+        return reference.p_los(LinkGeometry(h_tx, h_rx, d), env, spec)
 
     d = 1.0
     while d <= max_distance:
@@ -346,8 +347,9 @@ class TestCurveProperty:
     @given(case=curve_cases())
     def test_equals_the_scalar_p_los(self, case):
         h_tx, h_rx, d, env, spec, width = case
-        got = p_los_curve(h_tx, h_rx, d, env, spec, width).tolist()
-        assert got == [p_los(LinkGeometry(h_tx, h_rx, x), env, spec, width) for x in d]
+        expect = [reference.p_los(LinkGeometry(h_tx, h_rx, x), env, spec, width) for x in d]
+        assert p_los_curve(h_tx, h_rx, d, env, spec, width).tolist() == expect
+        assert [p_los(LinkGeometry(h_tx, h_rx, x), env, spec, width) for x in d] == expect
 
 
 class TestMaxCommDistanceOracle:

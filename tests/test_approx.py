@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import approx_reference as reference
 from a2glos.approx import (
@@ -153,6 +155,61 @@ class TestForwardKernel:
         assert type(got) is float and got == reference.mlp_forward(mlp, 250.0)
 
 
+FINITE = st.floats(-1e3, 1e3)
+HEIGHTS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=5),
+                     elements=st.floats(-2e3, 1e6))
+
+
+@st.composite
+def networks(draw):
+    """A random network: 1 to 12 hidden neurons, weights of either sign and
+    any normalization ranges."""
+    j = draw(st.integers(1, 12))
+    tensor = st.lists(FINITE, min_size=j, max_size=j).map(tuple)
+    norms = [(lo, lo + draw(st.floats(1e-3, 1e4))) for lo in (draw(FINITE), draw(FINITE))]
+    return Mlp(draw(tensor), draw(tensor), draw(tensor), draw(FINITE), *norms)
+
+
+@st.composite
+def curves(draw):
+    """Distances of a random shape, with (D1, D2) as scalars or one pair per
+    row; the breakpoint itself and its float neighbours are among them."""
+    d1 = draw(st.floats(1e-3, 1e4))
+    d2 = draw(st.floats(1e-3, 1e6))
+    edges = [0.0, d1, np.nextafter(d1, 0.0), np.nextafter(d1, math.inf)]
+    d = draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=6),
+                        elements=st.sampled_from(edges) | st.floats(0.0, 1e7)))
+    if d.ndim == 2 and draw(st.booleans()):
+        rows = (d.shape[0], 1)
+        d1, d2 = (draw(hnp.arrays(np.float64, rows, elements=st.floats(1e-3, top)))
+                  for top in (1e4, 1e6))
+    return d, ApproxParams(d1, d2)
+
+
+class TestKernelProperties:
+    """Both array kernels against the scalar reference, on random inputs."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(mlp=networks(), dhs=HEIGHTS)
+    def test_mlp_forward_equals_the_reference(self, mlp, dhs):
+        got = mlp_forward(mlp, dhs)
+        assert (type(got) is float) == (dhs.ndim == 0)
+        assert np.shape(got) == dhs.shape
+        assert np.ravel(got).tolist() == [reference.mlp_forward(mlp, float(x)) for x in dhs.ravel()]
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(case=curves())
+    def test_p_los_approx_equals_the_reference(self, case):
+        d, params = case
+        got = p_los_approx(d, params)
+        assert (type(got) is float) == (d.ndim == 0)
+        d, d1, d2 = np.broadcast_arrays(d, params.d1, params.d2)
+        assert np.shape(got) == d.shape
+        want = [reference.p_los_approx(float(x), ApproxParams(float(a), float(b)))
+                for x, a, b in zip(d.ravel(), d1.ravel(), d2.ravel())]
+        assert np.ravel(got).tolist() == want
+
+
 class TestNetworkParams:
     def test_floor_and_values_match_the_scalar_rule(self):
         # a network whose output falls below zero past mid-range: the floor bites
@@ -226,7 +283,8 @@ class TestSerialization:
     def test_file_round_trip(self, tmp_path):
         mlp = reference_mlp("urban", "d1")
         path = tmp_path / "net.txt"
-        save_mlp(mlp, path)
+        with path.open("w") as fh:
+            save_mlp(mlp, fh)
         assert load_mlp(path) == mlp
 
     def test_missing_tensor_is_an_error(self):

@@ -4,7 +4,7 @@ import stat
 import pytest
 
 from a2glos.analytic import p_los, p_los_baseline
-from a2glos.approx import ApproxParams, p_los_approx, reference_mlp
+from a2glos.approx import ApproxParams, p_los_approx, reference_mlp, save_mlp
 from a2glos.cli import _parse_grid, build_parser, main
 from a2glos.environment import Environment
 from a2glos.fit import TrainConfig, build_dataset, load_dataset
@@ -18,6 +18,12 @@ def run_cli(args, tmp_path, name="out.csv"):
     out = tmp_path / name
     code = main(args + ["--out", str(out)])
     return code, out
+
+
+def write_mlp(mlp, path):
+    """Save a network to a model file, as the fit command writes one."""
+    with open(path, "w") as fh:
+        save_mlp(mlp, fh)
 
 
 def data_rows(text):
@@ -252,6 +258,19 @@ class TestSimulateCommand:
         assert "h_rx must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("layout", ["grid", "uniform"])
+    @pytest.mark.parametrize("command", [
+        ["scene"],
+        ["simulate", "--htx", "100", "--f-ghz", "28", "--d", "100", "--realizations", "1",
+         "--links-per-ring", "8"],
+    ], ids=["scene", "simulate"])
+    def test_infinite_extent_is_a_usage_error(self, tmp_path, capsys, command, layout):
+        code, out = run_cli([*command, "--scenario", "urban", "--extent", "inf",
+                             "--layout", layout], tmp_path)
+        assert code == 2
+        assert "extent must be finite and > 0, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_elevation_mode(self, tmp_path):
         code, out = run_cli(
             ["simulate", "--scenario", "urban", "--htx", "120", "--hrx", "2",
@@ -291,14 +310,14 @@ class TestCompareCommand:
         assert all("mad_vs_sim=" in s and "breakpoint_m=" in s for s in summaries)
 
     def test_retrained_from_model_files(self, tmp_path):
-        from a2glos.approx import Mlp, save_mlp
+        from a2glos.approx import Mlp
 
         # hand-made constant networks: D1 = 30, D2 = 90
         d1_net = Mlp((0.0,), (0.0,), (0.0,), 0.0, (0.0, 1000.0), (30.0, 31.0))
         d2_net = Mlp((0.0,), (0.0,), (0.0,), 0.0, (0.0, 1000.0), (90.0, 91.0))
         p1, p2 = tmp_path / "m.d1.txt", tmp_path / "m.d2.txt"
-        save_mlp(d1_net, p1)
-        save_mlp(d2_net, p2)
+        write_mlp(d1_net, p1)
+        write_mlp(d2_net, p2)
         code, out = run_cli(
             ["compare", "--scenario", "urban", "--htx", "120", "--hrx", "2",
              "--f-ghz", "28", "--d", "100,200", "--realizations", "1",
@@ -345,10 +364,8 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize("given", ["--d1-model", "--d2-model"])
     def test_a_lone_model_file_is_a_usage_error(self, tmp_path, capsys, given):
-        from a2glos.approx import save_mlp
-
         net = tmp_path / "m.txt"
-        save_mlp(reference_mlp("urban", "d1"), net)
+        write_mlp(reference_mlp("urban", "d1"), net)
         code, out = run_cli(["compare", "--scenario", "urban", "--htx", "120", "--f-ghz", "28",
                              "--d", "100", "--realizations", "1", "--models", "approx-retrained",
                              given, str(net)], tmp_path)
@@ -361,15 +378,14 @@ class TestCompareCommand:
     ])
     def test_bad_model_file_fails_before_simulating(self, tmp_path, capsys, monkeypatch, line, replace):
         import a2glos.cli as cli_mod
-        from a2glos.approx import save_mlp
 
         def forbidden(*args, **kwargs):
             raise AssertionError("simulated before the model files were read")
 
         monkeypatch.setattr(cli_mod, "estimate_p_los", forbidden)
         p1, p2 = tmp_path / "m.d1.txt", tmp_path / "m.d2.txt"
-        save_mlp(reference_mlp("urban", "d1"), p1)
-        save_mlp(reference_mlp("urban", "d2"), p2)
+        write_mlp(reference_mlp("urban", "d1"), p1)
+        write_mlp(reference_mlp("urban", "d2"), p2)
         tag = line.split()[0]
         lines = [l for l in p2.read_text().splitlines() if not (replace and l.split()[0] == tag)]
         p2.write_text("\n".join(lines + [line]) + "\n")
@@ -381,11 +397,9 @@ class TestCompareCommand:
         assert not out.exists()
 
     def test_retrained_model_at_equal_heights_is_a_usage_error(self, tmp_path, capsys):
-        from a2glos.approx import save_mlp
-
         p1, p2 = tmp_path / "m.d1.txt", tmp_path / "m.d2.txt"
-        save_mlp(reference_mlp("urban", "d1"), p1)
-        save_mlp(reference_mlp("urban", "d2"), p2)
+        write_mlp(reference_mlp("urban", "d1"), p1)
+        write_mlp(reference_mlp("urban", "d2"), p2)
         code, out = run_cli(["compare", "--scenario", "urban", "--htx", "2", "--hrx", "2",
                              "--f-ghz", "28", "--d", "100", "--realizations", "1",
                              "--links-per-ring", "8", "--models", "approx-retrained",

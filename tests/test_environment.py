@@ -55,6 +55,15 @@ class TestCountsAndWidths:
         assert building_count(URBAN, 0.0) == 0
         assert building_count(URBAN, 50.0) == 0
 
+    def test_array_of_distances(self):
+        d = np.array([[0.0, 50.0, 81.6, 81.7], [500.0, 999.9, 1000.0, 2e4]])
+        counts = building_count(URBAN, d)
+        assert counts.shape == d.shape
+        assert counts.tolist() == [[building_count(URBAN, x) for x in row] for row in d.tolist()]
+        assert type(building_count(URBAN, 1000.0)) is int
+        with pytest.raises(ValueError, match="-2.0"):
+            building_count(URBAN, [1.0, -2.0])
+
     def test_monotone_in_distance_and_density(self):
         for d1, d2 in [(100, 200), (500, 600), (999, 1001)]:
             assert building_count(URBAN, d1) <= building_count(URBAN, d2)

@@ -407,6 +407,18 @@ class TestDatasetFile:
         with pytest.raises(ValueError, match=r"finite and positive.*delta_h=20\.0"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("order", ["1.5", "inf", "nan"])
+    def test_order_must_be_a_whole_number(self, tmp_path, order):
+        from a2glos.fit import load_dataset
+
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# alpha=0.3 beta=500.0 gamma=15.0 lambda=0.0107 order={order}\n"
+                        "delta_h,d1,d2\n10.0,5.0,20.0\n")
+        with pytest.raises(ValueError, match=f"whole number, got {order}"):
+            load_dataset(path)
+        path.write_text(path.read_text().replace(f"order={order}", "order=2.0"))
+        assert load_dataset(path).spec.order == 2
+
 
 class TestWorkerPolicy:
     def test_env_variable_caps_workers(self, monkeypatch):

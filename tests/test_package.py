@@ -66,3 +66,10 @@ def test_no_module_imports_a_name_it_never_uses():
         if found:
             unused[path.name] = found
     assert unused == {}
+
+
+def test_no_reference_oracle_imports_a_name_it_never_uses():
+    oracles = sorted(pathlib.Path(__file__).parent.glob("*_reference.py"))
+    assert oracles
+    unused = {path.name: found for path in oracles if (found := unused_imports(path.read_text()))}
+    assert unused == {}

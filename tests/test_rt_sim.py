@@ -125,6 +125,12 @@ class TestSceneSynthesis:
         with pytest.raises(ValueError):
             synthesize_scene(URBAN, 500.0, seed=0, layout="rings")
 
+    @pytest.mark.parametrize("layout", ["grid", "uniform"])
+    @pytest.mark.parametrize("extent", [0.0, -100.0, math.inf, math.nan])
+    def test_extent_must_be_finite_and_positive(self, layout, extent):
+        with pytest.raises(ValueError, match="extent must be finite and > 0"):
+            synthesize_scene(URBAN, extent, seed=0, layout=layout)
+
     def test_scene_dump_schema(self):
         scene = synthesize_scene(URBAN, 400.0, seed=2)
         lines = scene_csv_lines(scene)
