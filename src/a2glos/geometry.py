@@ -33,8 +33,8 @@ class LinkGeometry:
             raise ValueError(f"h_tx must be > 0 and finite, got {self.h_tx}")
         if not 0.0 <= self.h_rx < math.inf:
             raise ValueError(f"h_rx must be >= 0 and finite, got {self.h_rx}")
-        if not self.d_rx > 0.0:
-            raise ValueError(f"d_rx must be > 0, got {self.d_rx}")
+        if not 0.0 < self.d_rx < math.inf:
+            raise ValueError(f"d_rx must be > 0 and finite, got {self.d_rx}")
         if not self.h_tx >= self.h_rx:
             raise ValueError(
                 f"h_tx ({self.h_tx}) must not be below h_rx ({self.h_rx})"
@@ -58,16 +58,16 @@ class FresnelSpec:
     order: int = 1  # Fresnel zone order n, >= 1
 
     def __post_init__(self) -> None:
-        if self.wavelength < 0.0:
-            raise ValueError(f"wavelength must be >= 0, got {self.wavelength}")
-        if int(self.order) != self.order or self.order < 1:
+        if not 0.0 <= self.wavelength < math.inf:
+            raise ValueError(f"wavelength must be >= 0 and finite, got {self.wavelength}")
+        if not (1 <= self.order < math.inf and int(self.order) == self.order):
             raise ValueError(f"order must be a positive integer, got {self.order}")
 
 
 def wavelength_from_frequency(frequency_hz: float) -> float:
     """Return the free-space wavelength [m] for a carrier frequency [Hz]."""
-    if not frequency_hz > 0.0:
-        raise ValueError(f"frequency must be > 0, got {frequency_hz}")
+    if not 0.0 < frequency_hz < math.inf:
+        raise ValueError(f"frequency must be > 0 and finite, got {frequency_hz}")
     return SPEED_OF_LIGHT / frequency_hz
 
 

@@ -3,21 +3,18 @@
 A city scene with the target area statistics is synthesized as axis-aligned
 box buildings on a regular street grid (heights drawn from the Rayleigh
 law, footprint and spacing fixed by the area parameters), and held as the
-read-only arrays of a `Scene`. Each building contributes 10 triangles (4
-walls of 2, 2 for the roof; no floor). A link is line-of-sight when no
-triangle touches its Fresnel ellipsoid of order ``spec.order``; with a zero
-wavelength the test degenerates to segment blockage.
+read-only arrays of a `Scene`. A link is line-of-sight when no box touches
+its Fresnel ellipsoid of order ``spec.order``; with a zero wavelength the
+test degenerates to segment blockage.
 
-Blockage tests are exact: Moller-Trumbore for ray/triangle hits, and for
-the clearance test an affine map takes the ellipsoid to the unit sphere
-where triangle/sphere overlap reduces to a point-triangle distance. The
-per-link predicates cull buildings by a bounding-circle check only and
-test the mesh of every building left; they are the reference for the
-Monte-Carlo estimator, which culls harder, over every azimuth at once
-(see `estimate_p_los`). At zero wavelength its verdict is a segment-box
-slab test, with no triangles; with a clearance zone the slab test settles
-sure blockages, and only the buildings left are triangulated for its
-batched exact test.
+Both tests are exact and take the boxes as they are: a segment-box slab
+test at zero wavelength, and otherwise one box-ellipsoid kernel that
+minimises the ellipsoid's quadratic form over each box. The per-link
+predicates cull buildings by a bounding-circle check only and run these
+two tests on the buildings left; the Monte-Carlo estimator culls harder,
+over every azimuth at once, and runs the same two tests (see
+`estimate_p_los`). A triangle mesh of the boxes, with Moller-Trumbore and
+point-triangle tests, is the test oracle, ``tests/mesh_reference.py``.
 """
 
 from __future__ import annotations
@@ -35,10 +32,8 @@ from .geometry import FresnelSpec, LinkGeometry, fresnel_axes
 # perfbench/tracing.py wraps worker_count here by name; the estimator has no pool.
 from .workers import worker_count  # noqa: F401
 
-_DET_EPS = 1e-12  # ray parallel to triangle plane below this determinant
 _CULL_MARGIN = 0.5  # [m] slack of the building culls around the clearance zone
 _SEGMENT_CLEARANCE = 1e-9  # [m] bounding-circle slack of the segment test
-_BATCH_PAIRS = 256  # (link, building) pairs per batched exact test
 _CROSS_MARGIN = 1e-3  # segment parameter kept clear of each end by the crossing pre-test
 _CULL_ELEMENTS = 1 << 14  # (building, azimuth) pairs per cull block: 128 KiB per float64 temporary
 
@@ -93,42 +88,6 @@ class Scene:
 
     def __len__(self) -> int:
         return len(self.widths)
-
-
-def _triangulate(centers: np.ndarray, widths: np.ndarray, heights: np.ndarray) -> np.ndarray:
-    """Mesh the buildings: 4 walls (2 triangles each) plus a 2-triangle roof,
-    10 consecutive triangles per building in building order, (10 n, 3, 3)."""
-    n = len(widths)
-    half = widths / 2.0
-    x0, x1 = centers[:, 0] - half, centers[:, 0] + half
-    y0, y1 = centers[:, 1] - half, centers[:, 1] + half
-    zeros = np.zeros(n)
-    h = heights
-    # Bottom corners b1..b4 counter-clockwise, top corners t1..t4 above them.
-    b1 = np.stack([x0, y0, zeros], axis=1)
-    b2 = np.stack([x1, y0, zeros], axis=1)
-    b3 = np.stack([x1, y1, zeros], axis=1)
-    b4 = np.stack([x0, y1, zeros], axis=1)
-    t1 = np.stack([x0, y0, h], axis=1)
-    t2 = np.stack([x1, y0, h], axis=1)
-    t3 = np.stack([x1, y1, h], axis=1)
-    t4 = np.stack([x0, y1, h], axis=1)
-    tris = np.stack(
-        [
-            np.stack([b1, b2, t2], axis=1),
-            np.stack([b1, t2, t1], axis=1),
-            np.stack([b2, b3, t3], axis=1),
-            np.stack([b2, t3, t2], axis=1),
-            np.stack([b3, b4, t4], axis=1),
-            np.stack([b3, t4, t3], axis=1),
-            np.stack([b4, b1, t1], axis=1),
-            np.stack([b4, t1, t4], axis=1),
-            np.stack([t1, t2, t3], axis=1),
-            np.stack([t1, t3, t4], axis=1),
-        ],
-        axis=1,
-    )  # (n, 10, 3, 3)
-    return tris.reshape(n * 10, 3, 3)
 
 
 def sample_heights(gamma: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -199,72 +158,84 @@ def scene_csv_lines(scene: Scene) -> list[str]:
     return header + [",".join(row) for row in rows]
 
 
-# --- ray/triangle intersection -------------------------------------------
+# --- blockage tests --------------------------------------------------------
+
+# Box corner c has bit j of c set where it takes the upper bound on axis j.
+# Edge e runs along axis _EDGE_AXIS[e] from corner _EDGE_CORNER[e], the end
+# with that bit clear; face f is the plane x_j = lo_j (f < 3) or hi_j.
+_CORNER_BITS = (np.arange(8)[:, None] >> np.arange(3) & 1).astype(bool)
+_EDGE_AXIS = np.repeat(np.arange(3), 4)
+_EDGE_CORNER = np.array([c for j in range(3) for c in range(8) if not c >> j & 1])
+_FACE_AXIS = np.tile(np.arange(3), 2)
 
 
-def _mt_batch(origin: np.ndarray, direction: np.ndarray, tris: np.ndarray):
-    """Cramer's-rule ray/triangle intersection for a triangle batch.
+def _boxes(scene: Scene, building: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners, (P, 3) each, of the buildings' boxes."""
+    half = scene.widths[building, None] / 2.0
+    centers = scene.centers[building]
+    return (np.column_stack([centers - half, np.zeros(len(centers))]),
+            np.column_stack([centers + half, scene.heights[building]]))
 
-    ``origin`` and ``direction`` may be single vectors (one ray against
-    every triangle) or per-triangle rows. Returns (hit, s, u, v) arrays; a
-    hit needs s > 0, barycentrics inside the triangle and a determinant
-    above the parallel cutoff.
+
+def _segments_cross_boxes(
+    start: np.ndarray, direction: np.ndarray, lo: np.ndarray, hi: np.ndarray, margin: float
+) -> np.ndarray:
+    """Whether each segment start + t * direction crosses its box [lo, hi]
+    (arrays that broadcast to (P, 3)) at a segment parameter t in [margin,
+    1 - margin] (the slab test of Kay & Kajiya, "Ray Tracing Complex
+    Scenes", 1986).
+
+    With margin 0 this is the zero-wavelength verdict: the segment meets the
+    box. With a positive margin the crossing is a box point that the
+    clearance test maps onto the axis at radius <= 1 - 2 * margin, so the
+    exact test is sure to block the pair. A zero direction component gives
+    an infinite slab when the start is inside it and an empty one outside;
+    on its boundary one bound is 0/0, the slab's entry and exit are NaN, and
+    fmax and fmin skip them: the slab stays closed.
     """
-    v0 = tris[:, 0]
-    origin = np.broadcast_to(np.asarray(origin, dtype=float), v0.shape)
-    direction = np.broadcast_to(np.asarray(direction, dtype=float), v0.shape)
-    e1 = tris[:, 1] - v0
-    e2 = tris[:, 2] - v0
-    k = np.cross(direction, e2)  # direction x E2
-    det = np.einsum("ij,ij->i", k, e1)
-    valid = np.abs(det) > _DET_EPS
-    inv = np.where(valid, det, 1.0) ** -1
-    e0 = origin - v0
-    q = np.cross(e0, e1)
-    s = np.einsum("ij,ij->i", q, e2) * inv
-    u = np.einsum("ij,ij->i", k, e0) * inv
-    v = np.einsum("ij,ij->i", q, direction) * inv
-    hit = valid & (s > 0.0) & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
-    return hit, s, u, v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = (lo - start) / direction
+        t_hi = (hi - start) / direction
+    ends = np.stack([np.fmax.reduce(np.minimum(t_lo, t_hi), axis=-1),
+                     np.fmin.reduce(np.maximum(t_lo, t_hi), axis=-1)])
+    inner = (ends >= margin) & (ends <= 1.0 - margin)
+    return (ends[0] <= ends[1]) & inner.any(axis=0)
 
 
-# --- blockage predicates ---------------------------------------------------
+def _boxes_touch_ellipsoids(
+    center: np.ndarray, frame: np.ndarray, semi: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Whether each box [lo, hi] meets its ellipsoid, centred at ``center``
+    with the rows of ``frame`` as axes and ``semi`` as semi-axes. Points,
+    semi-axes and corners broadcast to (P, 3), frames to (P, 3, 3).
 
-
-def _candidate_triangles(scene: Scene, p0: np.ndarray, p1: np.ndarray, clearance: float) -> np.ndarray:
-    """Triangles of buildings whose bounding circle meets the link corridor.
-
-    Horizontal distance from each building center to the projected segment,
-    against the footprint circumradius plus ``clearance``; only the buildings
-    kept are triangulated.
+    The ellipsoid is q(x) <= 1, q(x) = (x - c)^T Q (x - c) with Q = F^T
+    diag(s)^-2 F. The minimum of the convex q over the box is the free
+    minimum of its interior, of one of its 6 faces, 12 edges or 8 corners
+    (for closest points on boxes, Ericson, "Real-Time Collision Detection",
+    2004, ch. 5). The 27 candidates are the centre, the corners, one exact
+    step along each edge from a corner, x_j -= (Q(x - c))_j / Q_jj, and on
+    each face x_j = side the point c + S[:, j] (side - c_j) / S_jj, where
+    S = F^T diag(s)^2 F is Q^-1. Each is clipped into the box: the minimiser
+    stays put and every other candidate stays a box point, so the box
+    touches exactly when one of them maps into the unit ball.
     """
-    a = p0[:2]
-    seg = p1[:2] - a
-    seg_len_sq = float(seg @ seg)
-    rel = scene.centers - a
-    if seg_len_sq == 0.0:
-        dist = np.linalg.norm(rel, axis=1)
-    else:
-        t = np.clip((rel @ seg) / seg_len_sq, 0.0, 1.0)
-        dist = np.linalg.norm(rel - t[:, None] * seg, axis=1)
-    radius = scene.widths * (math.sqrt(2.0) / 2.0) + clearance
-    idx = np.nonzero(dist <= radius)[0]
-    return _triangulate(scene.centers[idx], scene.widths[idx], scene.heights[idx])
-
-
-def los_blocked_geometric(scene: Scene, tx: Sequence[float], rx: Sequence[float]) -> bool:
-    """True when any scene triangle cuts the open TX-RX segment."""
-    p0 = np.asarray(tx, dtype=float)
-    p1 = np.asarray(rx, dtype=float)
-    length = float(np.linalg.norm(p1 - p0))
-    if length == 0.0:
-        raise ValueError("tx and rx coincide")
-    tris = _candidate_triangles(scene, p0, p1, clearance=_SEGMENT_CLEARANCE)
-    if len(tris) == 0:
-        return False
-    direction = (p1 - p0) / length
-    hit, s, _, _ = _mt_batch(p0, direction, tris)
-    return bool(np.any(hit & (s < length)))
+    lo, hi = lo - center, hi - center  # candidates are offsets from the centre
+    scaled = frame / semi[..., None]
+    q = np.swapaxes(scaled, -1, -2) @ scaled
+    spread = frame * semi[..., None]
+    s = np.swapaxes(spread, -1, -2) @ spread
+    corners = np.where(_CORNER_BITS, hi[..., None, :], lo[..., None, :])
+    start = corners[..., _EDGE_CORNER, :]
+    step = (start @ q)[..., np.arange(12), _EDGE_AXIS] / np.diagonal(q, 0, -2, -1)[..., _EDGE_AXIS]
+    edges = start - step[..., None] * np.eye(3)[_EDGE_AXIS]
+    side = np.concatenate([lo, hi], axis=-1) / np.diagonal(s, 0, -2, -1)[..., _FACE_AXIS]
+    faces = s[..., _FACE_AXIS, :] * side[..., None]
+    points = np.concatenate([np.zeros_like(corners[..., :1, :]), corners, edges, faces], axis=-2)
+    np.clip(points, lo[..., None, :], hi[..., None, :], out=points)
+    mapped = points @ np.swapaxes(frame, -1, -2)
+    mapped /= semi[..., None, :]
+    return (np.einsum("...ij,...ij->...i", mapped, mapped) <= 1.0).any(axis=-1)
 
 
 def _orthonormal_frame(axis_unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,59 +247,17 @@ def _orthonormal_frame(axis_unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, np.cross(axis_unit, v)
 
 
-def _point_triangle_dist_sq(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Squared distance from the origin to each triangle (a, b, c).
-
-    Vectorised barycentric region walk: candidate closest points on the
-    three vertices, three edges and the face are selected by the standard
-    sign tests in the order vertex A, B, C, edge AB, AC, BC, face; the
-    `np.where` chain below runs that order backwards, so the first match sticks.
-    """
-    ab = b - a
-    ac = c - a
-    ap = -a
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
-    bp = -b
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
-    cp = -c
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
-    va = d3 * d6 - d5 * d4
-    vb = d5 * d2 - d1 * d6
-    vc = d1 * d4 - d3 * d2
-
-    denom = va + vb + vc
-    safe = np.where(denom == 0.0, 1.0, denom)
-    closest = a + (vb / safe)[:, None] * ab + (vc / safe)[:, None] * ac  # face region
-    denom_bc = (d4 - d3) + (d5 - d6)
-    t_bc = np.divide(d4 - d3, denom_bc, out=np.zeros_like(d4), where=denom_bc != 0.0)
-    edge_bc = (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0)
-    closest = np.where(edge_bc[:, None], b + t_bc[:, None] * (c - b), closest)
-    denom_ac = d2 - d6
-    t_ac = np.divide(d2, denom_ac, out=np.zeros_like(d2), where=denom_ac != 0.0)
-    edge_ac = (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0)
-    closest = np.where(edge_ac[:, None], a + t_ac[:, None] * ac, closest)
-    denom_ab = d1 - d3
-    t_ab = np.divide(d1, denom_ab, out=np.zeros_like(d1), where=denom_ab != 0.0)
-    edge_ab = (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0)
-    closest = np.where(edge_ab[:, None], a + t_ab[:, None] * ab, closest)
-    closest = np.where(((d6 >= 0.0) & (d5 <= d6))[:, None], c, closest)  # vertex C region
-    closest = np.where(((d3 >= 0.0) & (d4 <= d3))[:, None], b, closest)  # vertex B region
-    closest = np.where(((d1 <= 0.0) & (d2 <= 0.0))[:, None], a, closest)  # vertex A region
-    return np.einsum("ij,ij->i", closest, closest)
-
-
 def los_blocked_fresnel(
     scene: Scene, tx: Sequence[float], rx: Sequence[float], spec: FresnelSpec
 ) -> bool:
-    """True when any triangle touches the link's order-n Fresnel ellipsoid.
+    """True when any box touches the link's order-n Fresnel ellipsoid.
 
     The ellipsoid has its major axis on the TX-RX line, is centered at the
     midpoint, and its semi-axes follow from the 3D terminal separation, so
-    the direct segment always lies inside it. A zero wavelength collapses
-    the ellipsoid onto the segment and defers to the geometric test.
+    the direct segment always lies inside it. Only the buildings whose
+    bounding circle comes within the clearance of the ground track are
+    tested. A zero wavelength collapses the ellipsoid onto the segment, and
+    the slab test decides.
     """
     p0 = np.asarray(tx, dtype=float)
     p1 = np.asarray(rx, dtype=float)
@@ -336,21 +265,28 @@ def los_blocked_fresnel(
     if separation == 0.0:
         raise ValueError("tx and rx coincide")
     transverse, along = fresnel_axes(spec, separation)
+    a = p0[:2]
+    seg = p1[:2] - a
+    seg_len_sq = float(seg @ seg)
+    rel = scene.centers - a
+    if seg_len_sq == 0.0:
+        dist = np.linalg.norm(rel, axis=1)
+    else:
+        t = np.clip((rel @ seg) / seg_len_sq, 0.0, 1.0)
+        dist = np.linalg.norm(rel - t[:, None] * seg, axis=1)
+    clearance = _SEGMENT_CLEARANCE if transverse == 0.0 else transverse + _CULL_MARGIN
+    lo, hi = _boxes(scene, np.nonzero(dist <= scene.widths * (math.sqrt(2.0) / 2.0) + clearance)[0])
     if transverse == 0.0:
-        return los_blocked_geometric(scene, tx, rx)
-    tris = _candidate_triangles(scene, p0, p1, clearance=transverse + _CULL_MARGIN)
-    if len(tris) == 0:
-        return False
-    center = 0.5 * (p0 + p1)
+        return bool(_segments_cross_boxes(p0, p1 - p0, lo, hi, 0.0).any())
     axis_unit = (p1 - p0) / separation
     v, w = _orthonormal_frame(axis_unit)
-    # Rows transverse/axial/transverse; scaling sends the ellipsoid to the
-    # unit sphere at the origin.
-    frame = np.stack([v, axis_unit, w])
-    scale = np.array([transverse, along, transverse])
-    mapped = ((tris - center) @ frame.T) / scale
-    dist_sq = _point_triangle_dist_sq(mapped[:, 0], mapped[:, 1], mapped[:, 2])
-    return bool(np.any(dist_sq <= 1.0))
+    return bool(_boxes_touch_ellipsoids(0.5 * (p0 + p1), np.stack([v, axis_unit, w]),
+                                        np.array([transverse, along, transverse]), lo, hi).any())
+
+
+def los_blocked_geometric(scene: Scene, tx: Sequence[float], rx: Sequence[float]) -> bool:
+    """True when the TX-RX segment meets a box: `los_blocked_fresnel` at zero wavelength."""
+    return los_blocked_fresnel(scene, tx, rx, FresnelSpec(0.0))
 
 
 # --- Monte-Carlo estimate ---------------------------------------------------
@@ -431,7 +367,7 @@ def _fan_candidates(
     1. corridor: buildings whose bounding circle comes within the largest
        clearance of the rectangle around the longest ring's ground track;
        receivers inside a footprint can only be inside one of these;
-    2. per link, the bounding-circle check of ``_candidate_triangles``;
+    2. per link, the bounding-circle check of `los_blocked_fresnel`;
     3. per link, roofs below the underside of a cylinder of radius
        ``clearance`` about the link axis, which holds the clearance zone,
        over the building's span along the ground track. On a vertical line
@@ -480,76 +416,28 @@ def _fan_candidates(
     return valid, np.concatenate(link), np.concatenate(building)
 
 
-def _pairs_blocked(
-    scene: Scene, fan: _LinkFan, link: np.ndarray, building: np.ndarray
-) -> np.ndarray:
-    """Whether each building's triangles touch its link's clearance zone,
-    ``link`` indexing the flattened fan (a fan with a clearance zone)."""
-    tris = _triangulate(scene.centers[building], scene.widths[building], scene.heights[building])
-    center = 0.5 * (fan.tx + fan.rx.reshape(-1, 3)[link])
-    frame = fan.frame.reshape(-1, 3, 3)[link]
-    rel = tris.reshape(len(link), 30, 3) - center[:, None]
-    mapped = (rel @ frame.transpose(0, 2, 1)) / fan.semi_axes.reshape(-1, 3)[link][:, None]
-    mapped = mapped.reshape(-1, 3, 3)
-    hit = _point_triangle_dist_sq(mapped[:, 0], mapped[:, 1], mapped[:, 2]) <= 1.0
-    return hit.reshape(-1, 10).any(axis=1)
-
-
-def _segments_cross_boxes(
-    scene: Scene, fan: _LinkFan, link: np.ndarray, building: np.ndarray, margin: float
-) -> np.ndarray:
-    """Whether each link's TX-RX segment crosses its building's closed box
-    surface at a segment parameter t in [margin, 1 - margin] (the slab test
-    of Kay & Kajiya, "Ray Tracing Complex Scenes", 1986).
-
-    With margin 0 this is the zero-wavelength verdict: the segment meets the
-    box (a receiver inside a footprint is not a valid link). With a positive
-    margin and both terminals at or above ground the point lies on a wall or
-    the roof, and the clearance test maps it onto the axis at radius <= 1 -
-    2 * margin, so the exact test is sure to block the pair. A zero direction
-    component gives an infinite slab when the TX is inside it and an empty
-    one outside; on its boundary one bound is 0/0, the slab's entry and
-    exit are NaN, and fmax and fmin skip them: the slab stays closed.
-    """
-    half = scene.widths[building, None] / 2.0
-    lo = np.column_stack([scene.centers[building] - half, np.zeros(building.size)])
-    hi = np.column_stack([scene.centers[building] + half, scene.heights[building]])
-    direction = fan.rx.reshape(-1, 3)[link] - fan.tx
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo = (lo - fan.tx) / direction
-        t_hi = (hi - fan.tx) / direction
-    ends = np.stack([np.fmax.reduce(np.minimum(t_lo, t_hi), axis=1),
-                     np.fmin.reduce(np.maximum(t_lo, t_hi), axis=1)])
-    inner = (ends >= margin) & (ends <= 1.0 - margin)
-    return (ends[0] <= ends[1]) & inner.any(axis=0)
-
-
 def _scene_verdicts(scene: Scene, fan: _LinkFan) -> tuple[np.ndarray, np.ndarray]:
     """Valid receivers and blocked links of the whole fan, shape (K, R).
 
     At zero wavelength a link is blocked when its segment meets a box, which
-    the slab test settles exactly: no triangles. With a clearance zone and
-    no terminal below ground, the pairs whose segment crosses the box well
-    inside the link (`_segments_cross_boxes` at ``_CROSS_MARGIN``) block at
-    once. The pairs left go through the exact test in batches of at most
-    ``_BATCH_PAIRS``, which bounds its temporaries, and before each batch
-    the pairs of links already blocked are dropped.
+    the slab test settles exactly. With a clearance zone, the pairs whose
+    segment crosses the box well inside the link (`_segments_cross_boxes` at
+    ``_CROSS_MARGIN``) block at once, and the pairs of the links left go
+    through the box-ellipsoid test in one call.
     """
     valid, link, building = _fan_candidates(scene, fan)
+    lo, hi = _boxes(scene, building)
+    rx = fan.rx.reshape(-1, 3)[link]
     blocked = np.zeros(fan.length.size, dtype=bool)
-    if fan.geometric:
-        blocked[link[_segments_cross_boxes(scene, fan, link, building, 0.0)]] = True
-        return valid, blocked.reshape(fan.length.shape)
-    if min(fan.tx[2], fan.rx[0, 0, 2]) >= 0.0:
-        blocked[link[_segments_cross_boxes(scene, fan, link, building, _CROSS_MARGIN)]] = True
-    while True:
-        keep = ~blocked[link]
-        link, building = link[keep], building[keep]
-        if not link.size:
-            return valid, blocked.reshape(fan.length.shape)
-        batch = slice(_BATCH_PAIRS)
-        blocked[link[batch][_pairs_blocked(scene, fan, link[batch], building[batch])]] = True
-        link, building = link[_BATCH_PAIRS:], building[_BATCH_PAIRS:]
+    margin = 0.0 if fan.geometric else _CROSS_MARGIN
+    blocked[link[_segments_cross_boxes(fan.tx, rx - fan.tx, lo, hi, margin)]] = True
+    if not fan.geometric:
+        left = ~blocked[link]
+        link, rx, lo, hi = link[left], rx[left], lo[left], hi[left]
+        touch = _boxes_touch_ellipsoids(0.5 * (fan.tx + rx), fan.frame.reshape(-1, 3, 3)[link],
+                                        fan.semi_axes.reshape(-1, 3)[link], lo, hi)
+        blocked[link[touch]] = True
+    return valid, blocked.reshape(fan.length.shape)
 
 
 def realization_scene(
@@ -584,7 +472,7 @@ def estimate_p_los(
     radius at ``h_rx``; receivers falling inside a building footprint are
     not valid user positions and are excluded from the tally. A link
     counts as LoS when its clearance zone, of order ``spec.order``, is
-    free of scene triangles.
+    free of boxes.
 
     The receivers of one azimuth share a ground corridor from the scene
     center. Buildings are culled against the corridor of the longest ring,
@@ -593,13 +481,9 @@ def estimate_p_los(
     clearance zone cannot touch it). At zero wavelength a surviving (link,
     building) pair blocks when the segment meets the box (slab test). With
     a clearance zone, a pair whose segment crosses the box well inside the
-    link blocks at once. The other pairs drop out once their link is
-    blocked; only their buildings are triangulated, and they go through the
-    exact test in array batches. The verdicts are those of
-    `los_blocked_fresnel` on each link, except on a link tangent to a box
-    at zero wavelength: the slab test blocks a segment that meets a box
-    only on two vertical corner edges (along its diagonal) or only at the
-    TX, where Moller-Trumbore, the per-link test, can leave it clear.
+    link blocks at once, and the pairs of the other links go through the
+    exact box-ellipsoid test in one array call. These are the kernels of
+    `los_blocked_fresnel`, so the verdicts are its verdicts on each link.
 
     The default extent, 2*max(d) + 100 m, keeps every ring inside the
     city. Realizations run one after another in the calling thread.

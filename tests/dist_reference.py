@@ -1,8 +1,8 @@
 """Reference point-triangle distance: seven masked copies in priority order,
 as ``a2glos.rt_sim`` computed it before it chose the closest points with
-one chain of ``np.where``.
+one chain of ``np.where`` (that chain is now in ``tests/mesh_reference.py``).
 
-``tests/test_rt_sim.py`` checks that ``rt_sim._point_triangle_dist_sq``
+``tests/test_rt_sim.py`` checks that ``mesh_reference.point_triangle_dist_sq``
 gives the same distances bit for bit as :func:`point_triangle_dist_sq`, so
 the body below is kept verbatim and must not be edited.
 """

@@ -161,9 +161,11 @@ class TestAnalyticCommand:
             ["--htx", "30", "--d", "inf"],
             ["--htx", "100", "--d", ","],
             ["--htx", "100", "--elevation", ","],
+            ["--htx", "30", "--d", "5", "--f-ghz", "inf"],
         ],
         ids=["tx-below-rx-at-zero", "negative-width", "nan-rx-with-mcd", "infinite-tx",
-             "infinite-distance", "empty-distance-grid", "empty-elevation-grid"],
+             "infinite-distance", "empty-distance-grid", "empty-elevation-grid",
+             "infinite-frequency"],
     )
     def test_degenerate_inputs_are_usage_errors(self, tmp_path, extra):
         # none of these distances crosses a building, so no product is formed

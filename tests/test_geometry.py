@@ -30,11 +30,10 @@ class TestWavelength:
         assert wavelength_from_frequency(6e9) == pytest.approx(0.04996540966666667, rel=1e-15)
         assert wavelength_from_frequency(28e9) == pytest.approx(0.0107068735, rel=1e-15)
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            wavelength_from_frequency(0.0)
-        with pytest.raises(ValueError):
-            wavelength_from_frequency(-1e9)
+    @pytest.mark.parametrize("frequency", [0.0, -1e9, math.inf, math.nan])
+    def test_rejects_nonpositive(self, frequency):
+        with pytest.raises(ValueError, match="frequency must be > 0 and finite"):
+            wavelength_from_frequency(frequency)
 
 
 class TestLinkGeometry:
@@ -42,18 +41,20 @@ class TestLinkGeometry:
         assert LinkGeometry(70.0, 1.5, 500.0).delta_h == 68.5
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, field",
         [
-            dict(h_tx=0.0, h_rx=0.0, d_rx=10.0),
-            dict(h_tx=10.0, h_rx=-1.0, d_rx=10.0),
-            dict(h_tx=10.0, h_rx=1.0, d_rx=0.0),
-            dict(h_tx=5.0, h_rx=6.0, d_rx=10.0),  # TX below RX
-            dict(h_tx=10.0, h_rx=math.nan, d_rx=10.0),
-            dict(h_tx=math.nan, h_rx=1.0, d_rx=10.0),
+            (dict(h_tx=0.0, h_rx=0.0, d_rx=10.0), "h_tx"),
+            (dict(h_tx=10.0, h_rx=-1.0, d_rx=10.0), "h_rx"),
+            (dict(h_tx=10.0, h_rx=1.0, d_rx=0.0), "d_rx"),
+            (dict(h_tx=5.0, h_rx=6.0, d_rx=10.0), "h_tx"),  # TX below RX
+            (dict(h_tx=10.0, h_rx=math.nan, d_rx=10.0), "h_rx"),
+            (dict(h_tx=math.nan, h_rx=1.0, d_rx=10.0), "h_tx"),
+            (dict(h_tx=70.0, h_rx=1.5, d_rx=math.inf), "d_rx"),
+            (dict(h_tx=70.0, h_rx=1.5, d_rx=math.nan), "d_rx"),
         ],
     )
-    def test_rejects_bad_links(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_rejects_bad_links(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
             LinkGeometry(**kwargs)
 
     def test_equal_heights_allowed(self):
@@ -64,11 +65,18 @@ class TestFresnelSpec:
     def test_zero_wavelength_is_the_degenerate_limit(self):
         assert FresnelSpec(0.0).wavelength == 0.0
 
-    def test_rejects_negative_wavelength_and_bad_order(self):
-        with pytest.raises(ValueError):
-            FresnelSpec(-0.1)
-        with pytest.raises(ValueError):
-            FresnelSpec(0.05, order=0)
+    @pytest.mark.parametrize("wavelength, order, field", [
+        (-0.1, 1, "wavelength"),
+        (math.inf, 1, "wavelength"),
+        (math.nan, 1, "wavelength"),
+        (0.05, 0, "order"),
+        (0.05, 1.5, "order"),
+        (0.01, math.inf, "order"),
+        (0.01, math.nan, "order"),
+    ])
+    def test_rejects_negative_wavelength_and_bad_order(self, wavelength, order, field):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            FresnelSpec(wavelength, order=order)
 
 
 class TestFresnelAxes:

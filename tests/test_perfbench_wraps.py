@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -35,11 +37,13 @@ def test_every_wrapped_name_resolves():
     assert tracing.WRAPS and not missing
 
 
-def test_blockage_check_finds_no_problems(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload", ["MonteCarlo", "MonteCarloLow"])
+def test_blockage_check_finds_no_problems(tmp_path, monkeypatch, workload):
+    # the grid layout, and the uniform one, whose buildings may hold the TX
     monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports the benchmark's oracle
     workloads = load("workloads")
     package = importlib.import_module("a2glos")
-    assert workloads.MonteCarlo(9901, tmp_path)._check_blockage(package) == []
+    assert getattr(workloads, workload)(9901, tmp_path)._check_blockage(package) == []
 
 
 def test_approx_does_not_import_fit():

@@ -1,13 +1,16 @@
 import dataclasses
 import math
 import threading
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import cull_reference
 import dist_reference
+import mesh_reference
 from a2glos import rt_sim
 from a2glos.environment import Environment, get_scenario
 from a2glos.geometry import (
@@ -20,16 +23,14 @@ from a2glos.geometry import (
 from a2glos.rt_sim import (
     _CROSS_MARGIN,
     Scene,
-    _candidate_triangles,
+    _boxes,
+    _boxes_touch_ellipsoids,
     _fan_candidates,
     _link_fan,
-    _mt_batch,
-    _pairs_blocked,
-    _point_triangle_dist_sq,
+    _orthonormal_frame,
     _scene_verdicts,
     _segments_cross_boxes,
     _subseed,
-    _triangulate,
     default_extent,
     estimate_p_los,
     los_blocked_fresnel,
@@ -65,7 +66,7 @@ def box_scene(*boxes, extent=1000.0):
 
 def mesh(scene):
     """The scene's full mesh: every building triangulated, in building order."""
-    return _triangulate(scene.centers, scene.widths, scene.heights)
+    return mesh_reference.triangulate(scene.centers, scene.widths, scene.heights)
 
 
 def brute_distance_to_origin(tri, steps=400):
@@ -201,13 +202,14 @@ class TestSceneArrays:
 
 
 class TestRayTriangle:
-    """`_mt_batch` on single triangles and against a linear solve."""
+    """The oracle's `mt_batch` on single triangles and against a linear solve."""
 
     @staticmethod
     def hit(origin, direction, tri):
         """(s, u, v) of one ray/triangle hit, or None."""
-        hit, s, u, v = _mt_batch(np.asarray(origin, dtype=float), np.asarray(direction, dtype=float),
-                                 np.array([tri], dtype=float))
+        hit, s, u, v = mesh_reference.mt_batch(np.asarray(origin, dtype=float),
+                                               np.asarray(direction, dtype=float),
+                                               np.array([tri], dtype=float))
         return (float(s[0]), float(u[0]), float(v[0])) if hit[0] else None
 
     def test_perpendicular_hit_through_centroid(self):
@@ -238,7 +240,8 @@ class TestRayTriangle:
             direction = rng.normal(size=3)
             directions.append(direction / np.linalg.norm(direction))
             tris.append(rng.uniform(-2, 2, (3, 3)))
-        hit, s, u, v = _mt_batch(np.array(origins), np.array(directions), np.array(tris))
+        hit, s, u, v = mesh_reference.mt_batch(np.array(origins), np.array(directions),
+                                               np.array(tris))
         hits = 0
         for k in range(2000):
             expected = solve_oracle(origins[k], directions[k], tris[k])
@@ -251,10 +254,12 @@ class TestRayTriangle:
 
 
 class TestPointTriangleDistance:
+    """The oracle's `point_triangle_dist_sq` against dense sampling."""
+
     def test_against_dense_sampling(self):
         rng = np.random.default_rng(6)
         tris = rng.uniform(-2.0, 2.0, (40, 3, 3))
-        dist = np.sqrt(_point_triangle_dist_sq(tris[:, 0], tris[:, 1], tris[:, 2]))
+        dist = np.sqrt(mesh_reference.point_triangle_dist_sq(tris[:, 0], tris[:, 1], tris[:, 2]))
         for k in range(len(tris)):
             approx = brute_distance_to_origin(tris[k], steps=300)
             assert dist[k] <= approx + 1e-9  # exact <= sampled
@@ -263,22 +268,24 @@ class TestPointTriangleDistance:
     def test_known_configurations(self):
         # face region: horizontal triangle 2 below the origin
         tri = np.array([[[-5, -5, -2.0], [5, -5, -2.0], [0, 5, -2.0]]])
-        assert _point_triangle_dist_sq(tri[:, 0], tri[:, 1], tri[:, 2])[0] == pytest.approx(4.0)
+        dist_sq = mesh_reference.point_triangle_dist_sq
+        assert dist_sq(tri[:, 0], tri[:, 1], tri[:, 2])[0] == pytest.approx(4.0)
         # vertex region
         tri = np.array([[[3.0, 4.0, 0.0], [10.0, 4.0, 0.0], [3.0, 10.0, 0.0]]])
-        assert _point_triangle_dist_sq(tri[:, 0], tri[:, 1], tri[:, 2])[0] == pytest.approx(25.0)
+        assert dist_sq(tri[:, 0], tri[:, 1], tri[:, 2])[0] == pytest.approx(25.0)
         # edge region: closest point mid-edge
         tri = np.array([[[-1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 9.0, 0.0]]])
-        assert _point_triangle_dist_sq(tri[:, 0], tri[:, 1], tri[:, 2])[0] == pytest.approx(4.0)
+        assert dist_sq(tri[:, 0], tri[:, 1], tri[:, 2])[0] == pytest.approx(4.0)
 
 
 class TestDistanceOracle:
-    """`_point_triangle_dist_sq` against the masked-copy reference, bit for bit."""
+    """The mesh oracle's `point_triangle_dist_sq` against the masked-copy
+    reference, bit for bit."""
 
     @staticmethod
     def assert_bit_equal(tris):
         tris = np.asarray(tris, dtype=float)
-        got = _point_triangle_dist_sq(tris[:, 0], tris[:, 1], tris[:, 2])
+        got = mesh_reference.point_triangle_dist_sq(tris[:, 0], tris[:, 1], tris[:, 2])
         want = dist_reference.point_triangle_dist_sq(tris[:, 0], tris[:, 1], tris[:, 2])
         assert got.tobytes() == want.tobytes()
 
@@ -306,16 +313,18 @@ class TestDistanceOracle:
 
     def test_mapped_triangles_of_one_fan(self, monkeypatch):
         seen = []
-        exact = rt_sim._point_triangle_dist_sq
+        exact = mesh_reference.point_triangle_dist_sq
 
         def spy(a, b, c):
             seen.append((exact(a, b, c), dist_reference.point_triangle_dist_sq(a, b, c)))
             return seen[-1][0]
 
-        monkeypatch.setattr(rt_sim, "_point_triangle_dist_sq", spy)
+        monkeypatch.setattr(mesh_reference, "point_triangle_dist_sq", spy)
         d_grid = [50.0 * i for i in range(1, 21)]
         fan = _link_fan(SPEC28, 500.0, 2.0, d_grid, 72)
-        _scene_verdicts(realization_scene(URBAN, default_extent(d_grid), 1, 0), fan)
+        scene = realization_scene(URBAN, default_extent(d_grid), 1, 0)
+        _, link, building = _fan_candidates(scene, fan)
+        mesh_reference.pairs_blocked(scene, fan, link, building)
         assert seen
         for got, want in seen:
             assert got.tobytes() == want.tobytes()
@@ -347,7 +356,7 @@ class TestBlockage:
             d = rng.uniform(20.0, 440.0)
             rx = np.array([d * math.cos(ang), d * math.sin(ang), 2.0])
             length = np.linalg.norm(rx - tx)
-            hit, s, _, _ = _mt_batch(tx, (rx - tx) / length, mesh(scene))
+            hit, s, _, _ = mesh_reference.mt_batch(tx, (rx - tx) / length, mesh(scene))
             expected = bool(np.any(hit & (s < length)))
             assert los_blocked_geometric(scene, tx, rx) == expected
 
@@ -476,6 +485,32 @@ class TestEstimate:
                            realizations=1, links_per_ring=8, seed=0)
 
 
+@st.composite
+def cull_scenes(draw):
+    """Boxes on a street grid, or overlapping boxes scattered at random, and
+    a fan over them: with or without a clearance zone, and in blocks from
+    one azimuth to the whole fan."""
+    h_tx = draw(st.floats(1.0, 120.0))
+    height = st.floats(1.0, 1.5 * h_tx)
+    if draw(st.booleans()):
+        pitch = draw(st.floats(10.0, 60.0))
+        width = draw(st.floats(1.0, pitch - 1.0))
+        base = (np.arange(draw(st.integers(1, 12))) - draw(st.floats(0.0, 11.0))) * pitch
+        gx, gy = np.meshgrid(base, base + draw(st.floats(-pitch, pitch)))
+        boxes = [(x, y, width, draw(height)) for x, y in zip(gx.ravel(), gy.ravel())]
+    else:
+        coord = st.floats(-160.0, 160.0)
+        boxes = draw(st.lists(st.tuples(coord, coord, st.floats(1.0, 60.0), height),
+                              min_size=1, max_size=40))
+    spec = draw(st.sampled_from([FresnelSpec(0.0), SPEC28,
+                                 FresnelSpec(wavelength_from_frequency(2.4e9), order=2)]))
+    h_rx = draw(st.floats(0.0, h_tx))
+    distances = draw(st.lists(st.floats(5.0, 150.0), min_size=1, max_size=4, unique=True))
+    azimuths = draw(st.sampled_from([1, 2, 4, 8, 12]))
+    elements = draw(st.sampled_from([1, 37, rt_sim._CULL_ELEMENTS]))
+    return boxes, spec, h_tx, h_rx, distances, azimuths, elements
+
+
 class TestFanCull:
     """The culls over all azimuths at once against the per-azimuth reference."""
 
@@ -506,6 +541,19 @@ class TestFanCull:
         assert set(pairs) == want_pairs
         assert 0 < len(pairs)
 
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(case=cull_scenes())
+    def test_random_scenes_keep_the_reference_pairs(self, case):
+        boxes, spec, h_tx, h_rx, distances, azimuths, elements = case
+        scene = box_scene(*boxes)
+        fan = _link_fan(spec, h_tx, h_rx, distances, azimuths)
+        with mock.patch.object(rt_sim, "_CULL_ELEMENTS", elements):
+            valid, link, building = _fan_candidates(scene, fan)
+        want_valid, want_pairs = cull_reference.fan_candidates(scene, fan)
+        assert np.array_equal(valid, want_valid)
+        pairs = list(zip(link.tolist(), building.tolist()))
+        assert len(set(pairs)) == len(pairs) and set(pairs) == want_pairs
+
     def test_empty_scene_keeps_no_pairs(self):
         fan = _link_fan(SPEC28, 100.0, 2.0, [50.0, 100.0], 8)
         valid, link, building = _fan_candidates(box_scene(extent=300.0), fan)
@@ -527,7 +575,8 @@ class TestLinkFan:
 
 
 class TestBatchedVerdicts:
-    """The estimator's culled, batched verdicts against the per-link oracle."""
+    """The estimator's culled, batched verdicts against the per-link tests of
+    the mesh oracle."""
 
     D_GRID = [30.0, 90.0, 180.0, 300.0]
     LINKS_PER_RING = 24
@@ -564,7 +613,7 @@ class TestBatchedVerdicts:
                     assert valid[k, i] == (not inside), (r, k, i)
                     if inside:
                         continue
-                    expected = los_blocked_fresnel(scene, fan.tx, rx, spec)
+                    expected = mesh_reference.los_blocked_fresnel(scene, fan.tx, rx, spec)
                     assert blocked[k, i] == expected, (r, k, i)
             clear += np.sum(valid & ~blocked, axis=0)
             n_valid += np.sum(valid, axis=0)
@@ -576,10 +625,9 @@ class TestBatchedVerdicts:
 
     def test_zero_wavelength_runs_no_triangle_test(self, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("a triangle test ran at zero wavelength")
+            raise AssertionError("a clearance test ran at zero wavelength")
 
-        for name in ("_triangulate", "_mt_batch", "_pairs_blocked"):
-            monkeypatch.setattr(rt_sim, name, forbidden)
+        monkeypatch.setattr(rt_sim, "_boxes_touch_ellipsoids", forbidden)
         est = estimate_p_los(URBAN, FresnelSpec(0.0), 40.0, 2.0, self.D_GRID, self.REALIZATIONS,
                              self.LINKS_PER_RING, seed=3)
         assert 0.0 < est.p_los.min() < est.p_los.max() <= 1.0
@@ -595,9 +643,10 @@ class TestBatchedVerdicts:
         for roof in np.linspace(26.0, 31.0, 51):
             scene = box_scene((150.0, offset, 20.0, roof))
             valid, blocked = _scene_verdicts(scene, fan)
-            expected = los_blocked_fresnel(scene, fan.tx, fan.rx[0, 0], SPEC28)
+            expected = mesh_reference.los_blocked_fresnel(scene, fan.tx, fan.rx[0, 0], SPEC28)
             assert valid[0, 0] and blocked[0, 0] == expected, roof
-            verdicts.append((expected, los_blocked_geometric(scene, fan.tx, fan.rx[0, 0])))
+            verdicts.append(
+                (expected, mesh_reference.los_blocked_geometric(scene, fan.tx, fan.rx[0, 0])))
         assert (False, False) in verdicts
         assert (True, False) in verdicts  # blocked by clearance only
 
@@ -612,10 +661,11 @@ class TestBatchedVerdicts:
         for roof in np.linspace(128.0, 140.0, 61):
             scene = box_scene((center, center, 20.0, roof))
             valid, blocked = _scene_verdicts(scene, fan)
-            expected = los_blocked_fresnel(scene, fan.tx, fan.rx[1, 0], spec)
+            expected = mesh_reference.los_blocked_fresnel(scene, fan.tx, fan.rx[1, 0], spec)
             assert valid.all() and blocked[1, 0] == expected, roof
             assert not blocked[[0, 2, 3, 4, 5, 6, 7]].any()
-            verdicts.append((expected, los_blocked_geometric(scene, fan.tx, fan.rx[1, 0])))
+            verdicts.append(
+                (expected, mesh_reference.los_blocked_geometric(scene, fan.tx, fan.rx[1, 0])))
         assert (False, False) in verdicts
         assert (True, False) in verdicts  # blocked by clearance only
 
@@ -628,7 +678,8 @@ class TestBatchedVerdicts:
         valid, link, _ = _fan_candidates(scene, fan)
         kept, circle = len(link), 0
         for k, i in zip(*np.nonzero(valid)):
-            tris = _candidate_triangles(scene, fan.tx, fan.rx[k, i], fan.clearance[k, i])
+            tris = mesh_reference.candidate_triangles(scene, fan.tx, fan.rx[k, i],
+                                                      fan.clearance[k, i])
             circle += len(tris) // 10
         assert 0 < kept < circle
 
@@ -637,21 +688,29 @@ class TestCrossingPreTest:
     """`_segments_cross_boxes` flags only pairs that the exact test blocks."""
 
     @staticmethod
-    def flags(scene, fan, spec):
+    def crossings(scene, fan, link, building, margin=_CROSS_MARGIN):
+        """The pre-test on the fan's (link, building) pairs."""
+        lo, hi = _boxes(scene, building)
+        return _segments_cross_boxes(fan.tx, fan.rx.reshape(-1, 3)[link] - fan.tx, lo, hi, margin)
+
+    @classmethod
+    def flags(cls, scene, fan, spec):
         """Pre-test flags of every (link, building) pair, shape (links, buildings),
-        each flagged pair checked against `los_blocked_fresnel` on its building
-        alone, and the scene's verdicts against the per-link test."""
+        each flagged pair checked against the mesh oracle's
+        `los_blocked_fresnel` on its building alone, and the scene's verdicts
+        against the oracle's per-link test."""
         n = len(scene)
         link = np.repeat(np.arange(fan.length.size), n)
         building = np.tile(np.arange(n), fan.length.size)
-        flag = _segments_cross_boxes(scene, fan, link, building, _CROSS_MARGIN).reshape(-1, n)
+        flag = cls.crossings(scene, fan, link, building).reshape(-1, n)
         rx = fan.rx.reshape(-1, 3)
         for i, b in zip(*np.nonzero(flag)):
             alone = box_scene(dataclasses.astuple(scene.buildings[b]), extent=scene.extent)
-            assert los_blocked_fresnel(alone, fan.tx, rx[i], spec), (i, b)
+            assert mesh_reference.los_blocked_fresnel(alone, fan.tx, rx[i], spec), (i, b)
         valid, blocked = _scene_verdicts(scene, fan)
         for k, i in zip(*np.nonzero(valid)):
-            assert blocked[k, i] == los_blocked_fresnel(scene, fan.tx, fan.rx[k, i], spec)
+            want = mesh_reference.los_blocked_fresnel(scene, fan.tx, fan.rx[k, i], spec)
+            assert blocked[k, i] == want
         return flag
 
     @pytest.mark.parametrize("spec", [SPEC28, FresnelSpec(0.0)])
@@ -678,21 +737,20 @@ class TestCrossingPreTest:
             (10.0, 150.0, 20.0, 40.0),  # TX on the slab's boundary: the link runs along a wall
             (-10.5, 150.0, 20.0, 40.0),  # TX outside the slab
         )
-        link = np.ones(3, dtype=np.intp)
-        flag = _segments_cross_boxes(scene, fan, link, np.arange(3), _CROSS_MARGIN)
+        flag = self.crossings(scene, fan, np.ones(3, dtype=np.intp), np.arange(3))
         assert flag.tolist() == [True, True, False]
         geometric = dataclasses.replace(_link_fan(FresnelSpec(0.0), 60.0, 2.0, [300.0], 4), rx=rx)
         for b, want in enumerate(flag.tolist()):
             alone = box_scene(dataclasses.astuple(scene.buildings[b]))
-            assert los_blocked_fresnel(alone, fan.tx, rx[1, 0], SPEC28) or not want
-            assert los_blocked_geometric(alone, fan.tx, rx[1, 0]) == want
+            assert mesh_reference.los_blocked_fresnel(alone, fan.tx, rx[1, 0], SPEC28) or not want
+            assert mesh_reference.los_blocked_geometric(alone, fan.tx, rx[1, 0]) == want
             assert _scene_verdicts(alone, geometric)[1][1, 0] == want
 
     def test_diagonal_link_through_the_corners(self):
         # a 45-degree link through a building's vertical corner edges, below
         # its roof: the segment crosses the box, and the slab test blocks it
-        # at zero wavelength, where Moller-Trumbore misses both edges on
-        # some roofs
+        # at zero wavelength, as does the per-link test; the oracle's
+        # Moller-Trumbore misses both edges on some roofs
         fan = _link_fan(SPEC28, 302.0, 2.0, [300.0], 8)
         geometric = _link_fan(FresnelSpec(0.0), 302.0, 2.0, [300.0], 8)
         corner = 80.0 * fan.unit[1]
@@ -702,7 +760,9 @@ class TestCrossingPreTest:
             assert self.flags(scene, fan, SPEC28)[1, 0]
             valid, blocked = _scene_verdicts(scene, geometric)
             assert valid.all() and blocked[1, 0]
-            misses.append(not los_blocked_geometric(scene, geometric.tx, geometric.rx[1, 0]))
+            assert los_blocked_geometric(scene, geometric.tx, geometric.rx[1, 0])
+            misses.append(
+                not mesh_reference.los_blocked_geometric(scene, geometric.tx, geometric.rx[1, 0]))
         assert any(misses)
 
     @pytest.mark.parametrize("spec", [SPEC28, FresnelSpec(0.0)])
@@ -731,13 +791,15 @@ class TestCrossingPreTest:
         assert not flag[0, 2] and not flag[1, 2]  # too near the TX on the 0-degree links
 
     def test_no_verdict_for_a_receiver_below_ground(self):
-        # the segment leaves the TX's building through its floor, which has
-        # no triangles, and passes under its wall
+        # the segment leaves the TX's building through its floor and passes
+        # under its wall: the solid box blocks it, the oracle's floorless
+        # mesh leaves it clear
         fan = _link_fan(SPEC28, 60.0, -30.0, [300.0], 1)
         scene = box_scene((0.0, 0.0, 500.0, 80.0))
-        assert not los_blocked_fresnel(scene, fan.tx, fan.rx[0, 0], SPEC28)
+        assert not mesh_reference.los_blocked_fresnel(scene, fan.tx, fan.rx[0, 0], SPEC28)
+        assert los_blocked_fresnel(scene, fan.tx, fan.rx[0, 0], SPEC28)
         valid, blocked = _scene_verdicts(scene, fan)
-        assert valid[0, 0] and not blocked[0, 0]
+        assert valid[0, 0] and blocked[0, 0]
 
     @pytest.mark.parametrize("h_tx, h_rx, edge, spec", [
         (2.0, 60.0, 140.0, SPEC28),
@@ -760,11 +822,13 @@ class TestCrossingPreTest:
         scene = realization_scene(get_scenario("dense-urban").env, default_extent(d_grid),
                                   seed, 0)
         valid, link, building = _fan_candidates(scene, fan)
-        flag = _segments_cross_boxes(scene, fan, link, building, _CROSS_MARGIN)
-        assert flag.any() and _pairs_blocked(scene, fan, link[flag], building[flag]).all()
+        flag = self.crossings(scene, fan, link, building)
+        assert flag.any()
+        assert mesh_reference.pairs_blocked(scene, fan, link[flag], building[flag]).all()
         valid, blocked = _scene_verdicts(scene, fan)
         for k, i in zip(*np.nonzero(valid)):
-            assert blocked[k, i] == los_blocked_fresnel(scene, fan.tx, fan.rx[k, i], spec)
+            want = mesh_reference.los_blocked_fresnel(scene, fan.tx, fan.rx[k, i], spec)
+            assert blocked[k, i] == want
 
     @pytest.mark.parametrize(
         "scenario, layout, h_tx",
@@ -779,8 +843,8 @@ class TestCrossingPreTest:
             scene = realization_scene(get_scenario(scenario).env, default_extent(d_grid), seed,
                                       r, layout=layout)
             _, link, building = _fan_candidates(scene, fan)
-            flag = _segments_cross_boxes(scene, fan, link, building, _CROSS_MARGIN)
-            assert _pairs_blocked(scene, fan, link[flag], building[flag]).all()
+            flag = self.crossings(scene, fan, link, building)
+            assert mesh_reference.pairs_blocked(scene, fan, link[flag], building[flag]).all()
 
 
 @st.composite
@@ -796,18 +860,20 @@ def fan_scenes(draw):
 
 
 def flips_within_a_nanometre(boxes, tx, rx, spec):
-    """Whether the per-link verdict changes when every box grows, or shrinks,
-    by 1 nm: the link is tangent to a box, and rounding decides its verdict."""
+    """Whether the mesh oracle's per-link verdict changes when every box
+    grows, or shrinks, by 1 nm: the link is tangent to a box, and rounding
+    decides its verdict."""
     grown, shrunk = (box_scene(*[(x, y, w + 2.0 * d, h + d) for x, y, w, h in boxes])
                      for d in (1e-9, -1e-9))
-    return los_blocked_fresnel(grown, tx, rx, spec) and not los_blocked_fresnel(shrunk, tx, rx, spec)
+    blocked = mesh_reference.los_blocked_fresnel
+    return blocked(grown, tx, rx, spec) and not blocked(shrunk, tx, rx, spec)
 
 
 class TestVerdictProperties:
-    """`_scene_verdicts` against the per-link test on random scenes: 1, 2, 4
-    and 8 azimuths give axis-aligned and diagonal links. At zero wavelength
-    `los_blocked_fresnel` is `los_blocked_geometric`. The two may differ only
-    on a link tangent to a box, as the corner-edge link
+    """`_scene_verdicts` against the mesh oracle's per-link test on random
+    scenes: 1, 2, 4 and 8 azimuths give axis-aligned and diagonal links. At
+    zero wavelength the oracle's test is Moller-Trumbore. The two may differ
+    only on a link tangent to a box, as the corner-edge link
     (`TestCrossingPreTest::test_diagonal_link_through_the_corners`)."""
 
     @pytest.mark.parametrize(
@@ -826,23 +892,147 @@ class TestVerdictProperties:
             inside = np.any((np.abs(rx[0] - scene.centers[:, 0]) <= half_w)
                             & (np.abs(rx[1] - scene.centers[:, 1]) <= half_w))
             assert valid[k, i] == (not inside)
-            if not inside and blocked[k, i] != los_blocked_fresnel(scene, fan.tx, rx, spec):
+            if not inside and blocked[k, i] != mesh_reference.los_blocked_fresnel(
+                    scene, fan.tx, rx, spec):
                 assert flips_within_a_nanometre(boxes, fan.tx, rx, spec), (k, i)
 
     @pytest.mark.parametrize("box, h_tx, h_rx, want", [
         # TX over the roof by one ulp: the segment clears the roof edge by
-        # 1.2e-15 m, and Moller-Trumbore's rounding blocks it
+        # 1.2e-15 m, and the mesh oracle's Moller-Trumbore rounding blocks it
         ((0.0, 0.0, 3.0, 9.012973308603124), 9.012973308603126, 9.012973308603124, False),
         # TX on the top edge of a wall: the segment touches the box at t = 0,
-        # which Moller-Trumbore (s > 0) leaves open, and every zone touches
+        # which the oracle's Moller-Trumbore (s > 0) leaves open, and every
+        # zone touches
         ((-0.5, 0.0, 1.0, 1.0), 1.0, 0.0, True),
     ])
     def test_tangent_links_get_the_slab_verdict(self, box, h_tx, h_rx, want):
         fan = _link_fan(FresnelSpec(0.0), h_tx, h_rx, [5.0], 1)
         valid, blocked = _scene_verdicts(box_scene(box), fan)
         assert valid[0, 0] and blocked[0, 0] == want
+        assert los_blocked_geometric(box_scene(box), fan.tx, fan.rx[0, 0]) == want
         assert los_blocked_fresnel(box_scene(box), fan.tx, fan.rx[0, 0], SPEC28) or not want
         assert flips_within_a_nanometre([box], fan.tx, fan.rx[0, 0], FresnelSpec(0.0))
+
+
+@st.composite
+def links_near_boxes(draw):
+    """One link at any orientation, vertical and steep ones included, with a
+    clearance zone, and square boxes on the ground: about points of the
+    link, with a corner or a face near a point of the zone's surface, or
+    with an edge tangent to the zone. A box holding both terminals is
+    dropped: only there can the floorless mesh miss a zone that meets the
+    solid box."""
+    coord = st.floats(-50.0, 50.0)
+    tx = np.array([draw(coord), draw(coord), draw(st.floats(0.0, 100.0))])
+    shift = st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3), st.floats(-200.0, 200.0))
+    rx = tx + [draw(shift), draw(shift), draw(st.floats(-100.0, 100.0))]
+    rx[2] = abs(rx[2])
+    separation = float(np.linalg.norm(rx - tx))
+    assume(separation > 1.0)
+    spec = FresnelSpec(wavelength_from_frequency(draw(st.sampled_from([2.4e9, 28e9, 3000e9]))),
+                       order=draw(st.integers(1, 3)))
+    transverse, along = fresnel_axes(spec, separation)
+    axis_unit = (rx - tx) / separation
+    center = 0.5 * (tx + rx)
+    frame = np.stack([*_orthonormal_frame(axis_unit), axis_unit])
+    semi = np.array([transverse, transverse, along])
+    q = frame.T @ (frame / semi[:, None] ** 2)  # the zone is d^T q d <= 1
+    jitter = st.floats(-0.02, 0.02)
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        width = draw(st.floats(0.5, 40.0))
+        place = draw(st.sampled_from(["link", "surface", "edge"]))
+        if place == "link":
+            p = tx + draw(st.floats(0.0, 1.0)) * (rx - tx)
+            reach = width / 2.0 + 2.0 * transverse
+            x, y = p[:2] + [draw(st.floats(-1.5, 1.5)) * reach, draw(st.floats(-1.5, 1.5)) * reach]
+            height = p[2] + draw(st.floats(-2.0, 2.0)) * transverse
+        elif place == "surface":
+            # on each horizontal axis the box either ends at the point, on
+            # the side away from the centre, or spans it; its roof is at the
+            # point when that lies below the centre
+            u = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)]) + [0.0, 0.0, 1e-3]
+            out = (u / np.linalg.norm(u) * semi) @ frame
+            p = center + out
+            x, y = (p[i] + draw(jitter) * transverse
+                    + (math.copysign(width / 2.0, out[i]) if draw(st.booleans())
+                       else draw(st.floats(-0.45, 0.45)) * width) for i in range(2))
+            height = p[2] + (draw(jitter) if out[2] < 0.0 else draw(st.floats(0.1, 2.0))) * transverse
+        else:
+            # a vertical edge, or a roof edge below the centre, along axis k
+            # at the offset d in the other two axes where the least of d^T q d
+            # over the edge's line is (1 + gap)^2: just inside or outside
+            k = draw(st.sampled_from([2, 0, 1]))
+            ij = [a for a in range(3) if a != k]
+            schur = q[np.ix_(ij, ij)] - np.outer(q[ij, k], q[k, ij]) / q[k, k]
+            angle = draw(st.floats(0.0, 2.0 * math.pi if k == 2 else math.pi)) + (k != 2) * math.pi
+            e = np.array([math.cos(angle), math.sin(angle)])
+            d = np.zeros(3)
+            gap = draw(st.floats(1e-5, 1e-3)) * draw(st.sampled_from([-1.0, 1.0]))
+            d[ij] = e * (1.0 + gap) / math.sqrt(e @ schur @ e)
+            d[k] = -(q[k, ij] @ d[ij]) / q[k, k]
+            p = center + d
+            xy = [p[a] + math.copysign(width / 2.0, d[a]) for a in range(2)]
+            if k == 2:
+                height = p[2] + draw(st.floats(0.01, 1.0)) * separation
+            else:
+                xy[k] = p[k] + draw(st.floats(-0.45, 0.45)) * width
+                height = p[2]
+            x, y = xy
+        box = (x, y, width, max(height, 0.01))
+        if not all(np.all(np.abs(t[:2] - [x, y]) <= width / 2.0) and t[2] <= box[3]
+                   for t in (tx, rx)):
+            boxes.append(box)
+    assume(boxes)
+    return tx, rx, spec, boxes
+
+
+class TestBoxKernelProperties:
+    """`_boxes_touch_ellipsoids` against the mesh oracle's `pairs_blocked`."""
+
+    @staticmethod
+    def verdicts(tx, rx, spec, boxes):
+        """Kernel and oracle verdicts, one per box, on the link's own fan."""
+        separation = float(np.linalg.norm(rx - tx))
+        transverse, along = fresnel_axes(spec, separation)
+        axis_unit = (rx - tx) / separation
+        v, w = _orthonormal_frame(axis_unit)
+        fan = types.SimpleNamespace(tx=tx, rx=rx, frame=np.stack([v, axis_unit, w]),
+                                    semi_axes=np.array([transverse, along, transverse]))
+        scene = box_scene(*boxes)
+        building = np.arange(len(boxes))
+        link = np.zeros_like(building)
+        lo, hi = _boxes(scene, building)
+        got = _boxes_touch_ellipsoids(0.5 * (tx + rx), fan.frame, fan.semi_axes, lo, hi)
+        return got, mesh_reference.pairs_blocked(scene, fan, link, building)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(case=links_near_boxes())
+    def test_same_verdict_as_the_mesh(self, case):
+        tx, rx, spec, boxes = case
+        got, want = self.verdicts(tx, rx, spec, boxes)
+        for b in np.nonzero(got != want)[0]:
+            x, y, w, h = boxes[b]
+            grown, shrunk = ([(x, y, w + 2.0 * d, h + d)] for d in (1e-9, -1e-9))
+            assert self.verdicts(tx, rx, spec, grown)[1][0], b  # tangent within 1 nm
+            assert not self.verdicts(tx, rx, spec, shrunk)[1][0], b
+        assert got.shape == (len(boxes),)
+
+    def test_vertical_link_beside_a_wall(self):
+        # the zone of a vertical link is a thin upright ellipsoid; it reaches
+        # a wall its transverse semi-axis away, and not one twice as far
+        tx, rx = np.array([0.0, 0.0, 80.0]), np.array([0.0, 0.0, 2.0])
+        transverse, _ = fresnel_axes(SPEC28, 78.0)
+        for gap, want in ((0.5 * transverse, True), (2.0 * transverse, False)):
+            got, oracle = self.verdicts(tx, rx, SPEC28, [(10.0 + gap, 0.0, 20.0, 40.0)])
+            assert got.tolist() == oracle.tolist() == [want], gap
+
+    def test_zone_inside_a_box(self):
+        # both terminals in one box: the solid box blocks, and the floorless
+        # mesh has no triangle in the zone
+        tx, rx = np.array([0.0, 0.0, 30.0]), np.array([20.0, 5.0, 10.0])
+        got, oracle = self.verdicts(tx, rx, SPEC28, [(10.0, 0.0, 60.0, 50.0)])
+        assert got.tolist() == [True] and oracle.tolist() == [False]
 
 
 class TestSubseed:
